@@ -173,12 +173,30 @@ func radix2(x []complex128, inverse bool) {
 	for size := 2; size <= n; size <<= 1 {
 		half := size >> 1
 		stage := tw[half-1 : 2*half-1]
+		if half < 8 {
+			// Short stages have many tiny blocks: loop over the twiddle
+			// outermost so each one is loaded once per stage.
+			for k, w := range stage {
+				for i := k; i < n; i += size {
+					a := x[i]
+					b := x[i+half] * w
+					x[i] = a + b
+					x[i+half] = a - b
+				}
+			}
+			continue
+		}
 		for start := 0; start < n; start += size {
-			for k := 0; k < half; k++ {
-				a := x[start+k]
-				b := x[start+k+half] * stage[k]
-				x[start+k] = a + b
-				x[start+k+half] = a - b
+			// Equal-length views let the compiler drop the bounds checks.
+			lo := x[start : start+half]
+			hi := x[start+half : start+size]
+			hi = hi[:len(lo)]
+			w := stage[:len(lo)]
+			for k := range lo {
+				a := lo[k]
+				b := hi[k] * w[k]
+				lo[k] = a + b
+				hi[k] = a - b
 			}
 		}
 	}
@@ -233,60 +251,12 @@ func bluestein(x []complex128, inverse bool) {
 // The transform length is padded to the next power of two, giving
 // O((n+m) log(n+m)) time. Either input being empty yields an empty result.
 func ConvolveReal(a, b []float64) []float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	outLen := len(a) + len(b) - 1
-	if DirectConvolutionSizes(len(a), len(b)) {
-		// Small problems: the direct algorithm is both faster and exact.
-		if rec := recorder(); rec != nil {
-			rec.Add(obs.MetricFFTConvolveNaive, 1)
-		}
-		return convolveNaive(a, b)
-	}
-	if rec := recorder(); rec != nil {
-		rec.Add(obs.MetricFFTConvolveViaFFT, 1)
-	}
-	m := 1
-	for m < outLen {
-		m <<= 1
-	}
-	// Pack both real sequences into one complex transform: z = a + i*b.
-	z := make([]complex128, m)
-	for i, v := range a {
-		z[i] = complex(v, 0)
-	}
-	for i, v := range b {
-		z[i] += complex(0, v)
-	}
-	radix2(z, false)
-	// With Z = A + iB, A[k] = (Z[k] + conj(Z[-k]))/2 and
-	// B[k] = (Z[k] - conj(Z[-k]))/(2i); the product spectrum is A.*B.
-	prod := make([]complex128, m)
-	for k := 0; k <= m/2; k++ {
-		kr := (m - k) % m
-		zk, zkr := z[k], z[kr]
-		ak := (zk + complex(real(zkr), -imag(zkr))) * 0.5
-		bk := (zk - complex(real(zkr), -imag(zkr))) * complex(0, -0.5)
-		p := ak * bk
-		prod[k] = p
-		if kr != k {
-			prod[kr] = complex(real(p), -imag(p))
-		}
-	}
-	radix2(prod, true)
-	out := make([]float64, outLen)
-	inv := 1 / float64(m)
-	for i := range out {
-		out[i] = real(prod[i]) * inv
-	}
-	return out
+	return ConvolveRealInto(a, b, new(Scratch))
 }
 
-// convolveNaive is the O(n·m) direct convolution used for small inputs and
-// as the reference implementation in tests.
-func convolveNaive(a, b []float64) []float64 {
-	out := make([]float64, len(a)+len(b)-1)
+// convolveNaiveInto accumulates the O(n·m) direct convolution of a and b
+// into out, which must be zeroed and of length len(a)+len(b)-1.
+func convolveNaiveInto(out, a, b []float64) {
 	for i, av := range a {
 		if av == 0 {
 			continue
@@ -295,7 +265,6 @@ func convolveNaive(a, b []float64) []float64 {
 			out[i+j] += av * bv
 		}
 	}
-	return out
 }
 
 // ConvolveRealNaive exposes the direct O(n·m) linear convolution. The solver
@@ -305,7 +274,9 @@ func ConvolveRealNaive(a, b []float64) []float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return nil
 	}
-	return convolveNaive(a, b)
+	out := make([]float64, len(a)+len(b)-1)
+	convolveNaiveInto(out, a, b)
+	return out
 }
 
 // Periodogram returns the one-sided periodogram I(f_j) of the real series x

@@ -201,11 +201,11 @@ const (
 )
 
 // Histogram is a log-bucketed (base-2) histogram with atomic buckets and
-// running count/sum/min/max, safe for concurrent use. Observation is
-// allocation-free.
+// running sum/min/max, safe for concurrent use. Observation is
+// allocation-free. The sample count is the sum of the buckets, so a reader
+// can never see a bucket that exceeds the count.
 type Histogram struct {
 	counts [histBucket]atomic.Uint64
-	count  atomic.Uint64
 	sum    atomic.Uint64 // float64 bits, CAS-accumulated
 	min    atomic.Uint64 // float64 bits
 	max    atomic.Uint64 // float64 bits
@@ -252,29 +252,62 @@ func bucketUpper(i int) float64 {
 	}
 }
 
-// Observe adds one sample.
+// Observe adds one sample. The bucket increment comes last, so a sample a
+// reader counts is already in the sum, min and max.
 func (h *Histogram) Observe(v float64) {
 	h.init()
-	h.counts[bucketIndex(v)].Add(1)
-	h.count.Add(1)
 	atomicAddFloat(&h.sum, v)
 	atomicMinFloat(&h.min, v)
 	atomicMaxFloat(&h.max, v)
+	h.counts[bucketIndex(v)].Add(1)
+}
+
+// loadCounts reads every bucket once into counts and returns their total.
+func (h *Histogram) loadCounts(counts *[histBucket]uint64) (total uint64) {
+	for i := range h.counts {
+		counts[i] = h.counts[i].Load()
+		total += counts[i]
+	}
+	return total
 }
 
 // Count returns the number of observed samples.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
+func (h *Histogram) Count() uint64 {
+	var counts [histBucket]uint64
+	return h.loadCounts(&counts)
+}
 
 // Sum returns the running sum of observed samples.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
 // Mean returns the sample mean (NaN when empty).
 func (h *Histogram) Mean() float64 {
-	n := h.count.Load()
+	n := h.Count()
 	if n == 0 {
 		return math.NaN()
 	}
 	return h.Sum() / float64(n)
+}
+
+// QuantileBound returns an upper bound on the q-quantile of the samples
+// observed so far: the inclusive upper edge of the bucket holding the
+// ⌈q·n⌉-th smallest sample, within a factor of two of it. n is the sample
+// count the bound was read from (0, with a NaN bound, when empty). It
+// allocates nothing, so hot paths can poll it.
+func (h *Histogram) QuantileBound(q float64) (bound float64, n uint64) {
+	var counts [histBucket]uint64
+	n = h.loadCounts(&counts)
+	if n == 0 {
+		return math.NaN(), 0
+	}
+	rank := min(max(uint64(math.Ceil(q*float64(n))), 1), n)
+	var seen uint64
+	for i, c := range counts {
+		if seen += c; seen >= rank {
+			return bucketUpper(i), n
+		}
+	}
+	return math.Inf(1), n
 }
 
 // atomicAddFloat CAS-accumulates delta into a float64 stored as bits.
@@ -460,27 +493,29 @@ func (r *Registry) Snapshot() Snapshot {
 
 // snapshotHistogram copies one histogram's atomics into an exported
 // snapshot, including the estimated tail quantiles.
+//
+// Count is the sum of the bucket counts read, and the buckets are read
+// before the sum, min and max, so the snapshot is internally consistent
+// under concurrent observation: no bucket exceeds Count, and every counted
+// sample is within [Min, Max].
 func snapshotHistogram(h *Histogram) HistogramSnapshot {
-	hs := HistogramSnapshot{
-		Count: h.Count(),
-		Sum:   h.Sum(),
-		Mean:  h.Mean(),
-		Min:   math.Float64frombits(h.min.Load()),
-		Max:   math.Float64frombits(h.max.Load()),
-	}
+	var counts [histBucket]uint64
+	hs := HistogramSnapshot{Count: h.loadCounts(&counts)}
 	if hs.Count == 0 {
-		hs.Min, hs.Max, hs.Mean = 0, 0, 0
+		return hs
 	}
-	for i := 0; i < histBucket; i++ {
-		if c := h.counts[i].Load(); c > 0 {
+	for i, c := range counts {
+		if c > 0 {
 			hs.Buckets = append(hs.Buckets, Bucket{Le: bucketUpper(i), Count: c})
 		}
 	}
-	if hs.Count > 0 {
-		hs.P50 = hs.Quantile(0.50)
-		hs.P90 = hs.Quantile(0.90)
-		hs.P99 = hs.Quantile(0.99)
-	}
+	hs.Sum = h.Sum()
+	hs.Mean = hs.Sum / float64(hs.Count)
+	hs.Min = math.Float64frombits(h.min.Load())
+	hs.Max = math.Float64frombits(h.max.Load())
+	hs.P50 = hs.Quantile(0.50)
+	hs.P90 = hs.Quantile(0.90)
+	hs.P99 = hs.Quantile(0.99)
 	return hs
 }
 

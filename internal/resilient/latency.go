@@ -2,19 +2,17 @@ package resilient
 
 import (
 	"math"
-	"math/bits"
-	"sync/atomic"
 	"time"
+
+	"lrd/internal/obs"
 )
 
-// latencyHist is a lock-free log₂ histogram of successful request
-// latencies. Bucket k holds durations whose nanosecond count has bit
-// length k, i.e. [2ᵏ⁻¹, 2ᵏ) ns — coarse (factor-of-two) resolution, which
-// is plenty for a hedge trigger and costs two atomic adds per sample with
-// zero allocation.
+// latencyHist holds successful request latencies, in seconds, in an
+// obs.Histogram, the lock-free log₂ histogram behind /metrics. Its
+// factor-of-two resolution is plenty for a hedge trigger, and observing
+// allocates nothing.
 type latencyHist struct {
-	buckets [64]atomic.Uint64
-	count   atomic.Uint64
+	h obs.Histogram
 }
 
 // minHedgeSamples gates the adaptive hedge delay: below this many
@@ -25,34 +23,17 @@ func (h *latencyHist) observe(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	h.buckets[bits.Len64(uint64(d))].Add(1)
-	h.count.Add(1)
+	h.h.Observe(d.Seconds())
 }
 
 // quantile returns an upper bound on the q-th latency quantile (the top of
 // its bucket), or ok=false before minHedgeSamples observations.
 func (h *latencyHist) quantile(q float64) (time.Duration, bool) {
-	total := h.count.Load()
-	if total < minHedgeSamples {
+	bound, n := h.h.QuantileBound(q)
+	if n < minHedgeSamples {
 		return 0, false
 	}
-	// rank is 1-based: the ceil(q·total)-th smallest sample.
-	rank := uint64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > total {
-		rank = total
-	}
-	var seen uint64
-	for k := range h.buckets {
-		seen += h.buckets[k].Load()
-		if seen >= rank {
-			if k >= 63 {
-				return time.Duration(1<<62 - 1), true
-			}
-			return time.Duration(uint64(1) << uint(k)), true
-		}
-	}
-	return 0, false
+	// The top bucket's bound is +Inf: cap the bound at 2⁶² ns (about 146
+	// years) so it converts to a Duration.
+	return time.Duration(math.Min(bound*float64(time.Second), 1<<62)), true
 }

@@ -46,13 +46,16 @@ func (a *Arena) release(s *arenaScratch) {
 	}
 }
 
-// arenaScratch is one solve's worth of reusable memory: the FFT convolution
-// workspace plus a small free list of float64 slices recycled through the
-// resolution ladder (increment pmfs, cdf tables, loss tables, occupancy
-// vectors). Owned by a single solve at a time.
+// arenaScratch is one solve's worth of reusable memory: one FFT convolution
+// workspace per bound chain (lower, upper) and the record that hands the
+// upper chain to a step helper, so the two chains can step concurrently,
+// plus a small free list of float64 slices recycled through the resolution
+// ladder (increment pmfs, cdf tables, loss tables, occupancy vectors). Owned
+// by a single solve at a time.
 type arenaScratch struct {
-	conv fft.Scratch
-	free [][]float64
+	conv    [2]fft.Scratch
+	handOff chainStep
+	free    [][]float64
 }
 
 // maxFreeSlices bounds the retained free list so a pathological solve cannot

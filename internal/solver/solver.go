@@ -577,10 +577,10 @@ func (it *Iterator) Step() error {
 	if it.cfg.Recorder != nil {
 		stepStart = time.Now()
 	}
-	var conv *fft.Scratch
-	var outL, outH []float64
+	lower := chainArgs{q: it.ql, w: it.wl, m: it.bins}
+	upper := chainArgs{q: it.qh, w: it.wh, m: it.bins}
+	var slot *chainStep
 	if s := it.scratch; s != nil {
-		conv = &s.conv
 		n := it.bins + 1
 		if cap(it.qlNext) < n {
 			it.qlNext = make([]float64, n)
@@ -588,10 +588,11 @@ func (it *Iterator) Step() error {
 		if cap(it.qhNext) < n {
 			it.qhNext = make([]float64, n)
 		}
-		outL, outH = it.qlNext[:n], it.qhNext[:n]
+		lower.conv, lower.out = &s.conv[0], it.qlNext[:n]
+		upper.conv, upper.out = &s.conv[1], it.qhNext[:n]
+		slot = &s.handOff
 	}
-	ql, driftL := lindleyStepInto(it.ql, it.wl, it.bins, conv, outL)
-	qh, driftH := lindleyStepInto(it.qh, it.wh, it.bins, conv, outH)
+	ql, driftL, qh, driftH := stepChains(lower, upper, slot)
 	newLo, newHi := it.lossOf(ql), it.lossOf(qh)
 	if faultinject.Active() {
 		pair := []float64{newLo, newHi}
@@ -747,20 +748,15 @@ func relChange(prev, cur float64) float64 {
 	return math.Abs(cur-prev) / den
 }
 
-// lindleyStep applies Eqs. (19)–(20): convolve the occupancy pmf with the
-// increment pmf, then fold the mass escaping below 0 into bin 0 and the
+// lindleyStepInto applies Eqs. (19)–(20): convolve the occupancy pmf with
+// the increment pmf, then fold the mass escaping below 0 into bin 0 and the
 // mass escaping above B into bin M. The result is renormalized to unit mass
 // to stop roundoff drift over long runs (and to clamp the ~1-ulp negative
 // values FFT convolution can produce). The pre-renormalization drift
-// (total−1) is returned for the numeric-health watchdog.
-func lindleyStep(q, w []float64, m int) (out []float64, drift float64) {
-	return lindleyStepInto(q, w, m, nil, nil)
-}
-
-// lindleyStepInto is lindleyStep with optional caller-owned buffers: conv
-// supplies the convolution workspace and out (length m+1, fully
-// overwritten) receives the stepped pmf. Either may be nil, in which case
-// fresh slices are allocated; results are bit-identical both ways.
+// (total−1) is returned for the numeric-health watchdog. conv supplies the
+// convolution workspace and out (length m+1, fully overwritten) receives
+// the stepped pmf. Either may be nil, in which case fresh slices are
+// allocated; results are bit-identical both ways.
 func lindleyStepInto(q, w []float64, m int, conv *fft.Scratch, out []float64) ([]float64, float64) {
 	// u[k] corresponds to occupancy position (k−m)·d, k = 0..3m.
 	u := fft.ConvolveRealInto(q, w, conv)
