@@ -137,7 +137,7 @@ func benchDenseSweep(b *testing.B, name string, warm bool) {
 	b.StopTimer()
 	nsPerCell := float64(elapsed.Nanoseconds()) / float64(b.N*cells)
 	b.ReportMetric(nsPerCell, "ns/cell")
-	recordBench(b, name, nsPerCell, b.N)
+	recordBench(b, name, benchEntry{NsPerOp: nsPerCell, Iters: b.N})
 }
 
 // BenchmarkSweepPerCell is the baseline: the seeded per-cell path (each
@@ -177,20 +177,23 @@ const benchResultsFile = "BENCH_solver.json"
 type benchEntry struct {
 	NsPerOp float64 `json:"ns_per_op"`
 	Iters   int     `json:"iters"`
+	// SolvesPerOp is the forward solves per operation, for benchmarks
+	// whose operation is a root-find.
+	SolvesPerOp float64 `json:"solves_per_op,omitempty"`
 }
 
 // recordBench merges one benchmark result into benchResultsFile
 // (read-modify-write: the file accumulates every benchmark of a run).
 // Benchmarks run sequentially within a `go test -bench` invocation, so no
 // locking is needed.
-func recordBench(b *testing.B, name string, nsPerOp float64, iters int) {
+func recordBench(b *testing.B, name string, e benchEntry) {
 	b.Helper()
 	results := map[string]benchEntry{}
 	if data, err := os.ReadFile(benchResultsFile); err == nil {
 		// A corrupt or stale file is discarded, not fatal.
 		_ = json.Unmarshal(data, &results)
 	}
-	results[name] = benchEntry{NsPerOp: nsPerOp, Iters: iters}
+	results[name] = e
 	data, err := json.MarshalIndent(results, "", "  ")
 	if err != nil {
 		b.Fatal(err)
@@ -215,7 +218,7 @@ func benchSolve(b *testing.B, name string, cfg lrd.SolverConfig) {
 	}
 	elapsed := time.Since(start)
 	b.StopTimer()
-	recordBench(b, name, float64(elapsed.Nanoseconds())/float64(b.N), b.N)
+	recordBench(b, name, benchEntry{NsPerOp: float64(elapsed.Nanoseconds()) / float64(b.N), Iters: b.N})
 }
 
 // BenchmarkSolveOnOff measures one full solver run (the paper's "typical
@@ -265,7 +268,40 @@ func BenchmarkSolveNilRecorder(b *testing.B) {
 	}
 	elapsed := time.Since(start)
 	b.StopTimer()
-	recordBench(b, "SolveNilRecorder", float64(elapsed.Nanoseconds())/float64(b.N), b.N)
+	recordBench(b, "SolveNilRecorder", benchEntry{NsPerOp: float64(elapsed.Nanoseconds()) / float64(b.N), Iters: b.N})
+}
+
+// BenchmarkProvision times one buffer root-find on perfbench's provision
+// queue at Tc = 1: a {0,2} marginal, θ = 0.02 s, α = 1.4, utilization 0.8,
+// loss SLO 0.05, buffers searched up to 2 s, forward solves at RelGap 0.2
+// up to M = 8192. BENCH_solver.json records ns and forward solves per
+// root-find.
+func BenchmarkProvision(b *testing.B) {
+	m := lrd.MustMarginal([]float64{0, 2}, []float64{0.5, 0.5})
+	fs, err := lrd.NewSource(m, lrd.TruncatedPareto{Theta: 0.02, Alpha: 1.4, Cutoff: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := lrd.NewFluidSource(fs)
+	opts := lrd.ProvisionOptions{SLO: 0.05, Util: 0.8, Max: 2, Solver: lrd.SolverConfig{RelGap: 0.2, MaxBins: 1 << 13}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := time.Now()
+	solves := 0
+	for i := 0; i < b.N; i++ {
+		p, err := lrd.Provision(context.Background(), src, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		solves += p.Solves
+	}
+	elapsed := time.Since(start)
+	b.StopTimer()
+	solvesPerOp := float64(solves) / float64(b.N)
+	b.ReportMetric(solvesPerOp, "solves/op")
+	recordBench(b, "Provision", benchEntry{
+		NsPerOp: float64(elapsed.Nanoseconds()) / float64(b.N), Iters: b.N, SolvesPerOp: solvesPerOp,
+	})
 }
 
 // BenchmarkSolverStep measures a single Lindley iteration of both bound

@@ -318,7 +318,9 @@ type ProvisionResponse struct {
 	// Value is the answer: minimal normalized buffer in seconds, or minimal
 	// service rate in work units/s.
 	Value float64 `json:"value"`
-	// Loss is the proven upper bound on the loss at Value (<= SLO).
+	// Loss is the proven upper bound on the loss at Value (<= SLO), taken
+	// when that probe's bracket first cleared the SLO: valid, but not
+	// tightened any further.
 	Loss float64 `json:"loss"`
 	// Bracket is the largest value probed whose loss bound failed to clear
 	// the SLO, and BracketLoss that bound (> SLO). Bracket is 0 when the SLO
@@ -330,8 +332,9 @@ type ProvisionResponse struct {
 	SLO float64 `json:"slo"`
 	// Util reports the resulting utilization at Value (service target only).
 	Util float64 `json:"util,omitempty"`
-	// Solves counts the forward solves spent; WarmSolves how many of them
-	// were warm-started from a previous iterate's occupancy vectors.
+	// Solves counts the forward solves spent, one per bisection probe;
+	// WarmSolves how many of them were warm-started from a previous
+	// iterate's occupancy vectors.
 	Solves     int `json:"solves"`
 	WarmSolves int `json:"warm_solves,omitempty"`
 }

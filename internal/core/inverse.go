@@ -69,7 +69,10 @@ type ProvisionOptions struct {
 	MaxSolves int
 	// Solver configures the forward solves. Provision shares one
 	// solver.Arena across all its iterates (attaching one if none is set)
-	// and threads warm-start seeds through the buffer chain.
+	// and threads warm-start seeds through the buffer chain. RelGap no
+	// longer sets how tight a probe gets: each probe stops as soon as its
+	// proven bracket clears the SLO, and a straddling one is tightened to
+	// a 0.1% gap (or RelGap, if tighter) or until it stalls at MaxBins.
 	Solver solver.Config
 }
 
@@ -79,7 +82,10 @@ type ProvisionOptions struct {
 // midpoints: at Value the solve's upper bound cleared the SLO, so the true
 // loss there provably meets it and any independent forward solve of Value
 // brackets a loss at or below the SLO; at Bracket the proof failed even
-// after tightening the bound gap.
+// after tightening the bound gap. Each probe stops as soon as its bracket
+// clears the SLO, whatever Solver.RelGap says, so Loss and BracketLoss are
+// the proven bounds at that moment: valid, but no tighter than the verdict
+// needed.
 type Provisioned struct {
 	Target string
 	// Value is the answer: minimal normalized buffer (seconds), or minimal
@@ -118,21 +124,27 @@ func (e *InfeasibleError) Error() string {
 		e.SLO, e.Target, e.BestLoss, e.Target, e.Best)
 }
 
-// probeGapFloor floors the adaptive bound tightening of SLO-straddling
-// probes (see prober.solve): below a 0.1% relative gap the verdict is as
-// resolved as any practical SLO comparison needs, and MaxBins usually caps
-// the achievable resolution long before.
+// probeGapFloor caps the bound gap a probe chases while its bracket still
+// straddles the SLO (see prober.decide): below a 0.1% relative gap the
+// verdict is as resolved as any practical SLO comparison needs, and MaxBins
+// usually caps the achievable resolution long before.
 const probeGapFloor = 1e-3
+
+// probeFunc resolves one probe: it forward-solves m, warm-started from seed
+// where the seed is compatible, until the result's bounds carry the probe's
+// verdict, counting any solve beyond the one prober.solve already counted.
+type probeFunc func(p *prober, ctx context.Context, m solver.Model, seed *solver.Seed) (solver.Result, error)
 
 // prober runs the forward solves of one inverse solve, counting them and
 // enforcing the solve budget.
 type prober struct {
-	src    source.Source
-	cfg    solver.Config
-	slo    float64
-	max    int
-	solves int
-	warm   int
+	src     source.Source
+	cfg     solver.Config
+	slo     float64
+	max     int
+	solves  int
+	warm    int
+	resolve probeFunc
 }
 
 func (p *prober) budget() error {
@@ -147,14 +159,10 @@ func (p *prober) budget() error {
 
 // solve forward-solves one iterate and resolves its SLO verdict. The
 // bisection consumes the verdict, not the loss estimate: feasible means the
-// solver proved loss <= SLO (the upper bound cleared it). A probe whose
-// bound bracket straddles the SLO proves neither verdict — a midpoint
-// comparison there would depend on which way the bracket happens to lean,
-// and an independent forward solve of the returned value could flip it. Such
-// probes are re-solved at geometrically tighter gaps, warm-seeded from their
-// own iterate, until a bound clears the SLO, the gap floor is reached, or
-// the bracket stops shrinking (MaxBins caps resolution); each refinement
-// counts against the solve budget.
+// solver proved loss <= SLO (the upper bound cleared it). A midpoint
+// comparison would depend on which way a straddling bracket happens to
+// lean, and an independent forward solve of the returned value could flip
+// it.
 func (p *prober) solve(ctx context.Context, serviceRate, buffer float64, seed *solver.Seed) (solver.Result, *solver.Seed, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return solver.Result{}, nil, false, err
@@ -170,38 +178,28 @@ func (p *prober) solve(ctx context.Context, serviceRate, buffer float64, seed *s
 	if seed != nil && seed.ServiceRate == m.ServiceRate && seed.Buffer <= m.Buffer {
 		p.warm++
 	}
-	cfg := p.cfg
-	res, err := solver.SolveModelSeeded(ctx, m, cfg, seed)
+	res, err := p.resolve(p, ctx, m, seed)
 	if err != nil {
 		return solver.Result{}, nil, false, err
 	}
-	for res.Lower <= p.slo && p.slo < res.Upper {
-		gap := cfg.RelGap
-		if gap <= 0 {
-			gap = 0.2 // the solver's documented default
-		}
-		if gap <= probeGapFloor {
-			break
-		}
-		cfg.RelGap = math.Max(gap/4, probeGapFloor)
-		if err := ctx.Err(); err != nil {
-			return solver.Result{}, nil, false, err
-		}
-		if err := p.budget(); err != nil {
-			return solver.Result{}, nil, false, err
-		}
-		p.solves++
-		p.warm++
-		width := res.Upper - res.Lower
-		res, err = solver.SolveModelSeeded(ctx, m, cfg, solver.SeedFromResult(m, res))
-		if err != nil {
-			return solver.Result{}, nil, false, err
-		}
-		if !(res.Upper-res.Lower < width) {
-			break
-		}
-	}
 	return res, solver.SeedFromResult(m, res), res.Upper <= p.slo, nil
+}
+
+// decide is the production probeFunc: one solve that stops as soon as its
+// proven bracket clears the SLO on either side. A bracket that still
+// straddles the SLO is tightened toward a probeGapFloor gap (or
+// cfg.RelGap, if tighter) until a bound clears it or the solver stalls at
+// MaxBins, so a probe costs exactly one solve.
+func (p *prober) decide(ctx context.Context, m solver.Model, seed *solver.Seed) (solver.Result, error) {
+	cfg := p.cfg
+	if !(cfg.RelGap > 0 && cfg.RelGap < probeGapFloor) {
+		cfg.RelGap = probeGapFloor
+	}
+	it, err := solver.NewModelIteratorSeeded(m, cfg, seed)
+	if err != nil {
+		return solver.Result{}, err
+	}
+	return it.RunUntilDecided(ctx, p.slo)
 }
 
 // Provision answers the capacity-planning question for one realized
@@ -214,6 +212,12 @@ func (p *prober) solve(ctx context.Context, serviceRate, buffer float64, seed *s
 // its ascending-buffer moves (the direction the warm-start coupling
 // argument permits), so later iterates cost a fraction of the first.
 func Provision(ctx context.Context, src source.Source, opts ProvisionOptions) (Provisioned, error) {
+	return provision(ctx, src, opts, (*prober).decide)
+}
+
+// provision is Provision with the per-probe strategy as a parameter, so
+// tests can run the same bisection over a reference prober.
+func provision(ctx context.Context, src source.Source, opts ProvisionOptions, resolve probeFunc) (Provisioned, error) {
 	if !(opts.SLO > 0 && opts.SLO < 1) {
 		return Provisioned{}, fmt.Errorf("core: SLO must be in (0, 1), got %g", opts.SLO)
 	}
@@ -234,13 +238,14 @@ func Provision(ctx context.Context, src source.Source, opts ProvisionOptions) (P
 	// silently provision against the budget, not the queue.
 	opts.Solver.MaxDuration = 0
 
+	p := &prober{src: src, cfg: opts.Solver, slo: opts.SLO, max: opts.MaxSolves, resolve: resolve}
 	var out Provisioned
 	var err error
 	switch opts.Target {
 	case "", TargetBuffer:
-		out, err = provisionBuffer(ctx, src, opts)
+		out, err = provisionBuffer(ctx, p, opts)
 	case TargetService:
-		out, err = provisionService(ctx, src, opts)
+		out, err = provisionService(ctx, p, opts)
 	default:
 		return Provisioned{}, fmt.Errorf("core: unknown provision target %q (want %q or %q)", opts.Target, TargetBuffer, TargetService)
 	}
@@ -261,7 +266,8 @@ func Provision(ctx context.Context, src source.Source, opts ProvisionOptions) (P
 // provisionBuffer finds the minimal normalized buffer: loss is decreasing
 // in buffer, so [lo, hi] keeps loss(lo) > SLO and loss(hi) <= SLO and the
 // log-scale midpoint replaces the matching end.
-func provisionBuffer(ctx context.Context, src source.Source, opts ProvisionOptions) (Provisioned, error) {
+func provisionBuffer(ctx context.Context, p *prober, opts ProvisionOptions) (Provisioned, error) {
+	src := p.src
 	var serviceRate float64
 	switch {
 	case opts.Util != 0 && opts.Service != 0:
@@ -290,7 +296,6 @@ func provisionBuffer(ctx context.Context, src source.Source, opts ProvisionOptio
 		return Provisioned{}, fmt.Errorf("core: buffer bracket [%g, %g] must satisfy 0 < min < max", lo, hi)
 	}
 
-	p := &prober{src: src, cfg: opts.Solver, slo: opts.SLO, max: opts.MaxSolves}
 	// Probe the cheap end first: done if it already meets the SLO. Its seed
 	// warm-starts every later iterate — all at larger buffers.
 	resLo, seed, feasLo, err := p.solve(ctx, serviceRate, lo, nil)
@@ -345,11 +350,11 @@ func provisionBuffer(ctx context.Context, src source.Source, opts ProvisionOptio
 // as high as the SLO allows: loss is increasing in utilization, so [lo,
 // hi] keeps loss(lo) <= SLO and loss(hi) > SLO (or hi untested beyond the
 // cap).
-func provisionService(ctx context.Context, src source.Source, opts ProvisionOptions) (Provisioned, error) {
+func provisionService(ctx context.Context, p *prober, opts ProvisionOptions) (Provisioned, error) {
 	if opts.Buffer <= 0 {
 		return Provisioned{}, fmt.Errorf("core: the service target requires a positive buffer, got %g", opts.Buffer)
 	}
-	mean := src.MeanRate()
+	mean := p.src.MeanRate()
 	if !(mean > 0) {
 		return Provisioned{}, fmt.Errorf("core: source mean rate must be positive, got %g", mean)
 	}
@@ -364,7 +369,6 @@ func provisionService(ctx context.Context, src source.Source, opts ProvisionOpti
 		return Provisioned{}, fmt.Errorf("core: utilization bracket [%g, %g] must satisfy 0 < min < max < 1", lo, hi)
 	}
 
-	p := &prober{src: src, cfg: opts.Solver, slo: opts.SLO, max: opts.MaxSolves}
 	// Each iterate changes the service rate, so warm seeds never transfer
 	// (the seed compatibility contract pins the service rate); the shared
 	// arena still recycles every iterate's scratch.

@@ -14,9 +14,13 @@ import (
 // or zeroed before use, so results are bit-identical to the unpooled path
 // (the batch golden tests assert this). An Arena is safe for concurrent use;
 // each solve borrows one scratch set for its whole lifetime and returns it
-// when RunContext finishes.
+// when RunContext finishes. Returned sets stay on a free list — unlike a
+// sync.Pool, neither the garbage collector nor the race detector drops
+// them, so reuse is deterministic — and the memory an Arena retains is
+// bounded by the peak number of concurrent solves sharing it.
 type Arena struct {
-	pool sync.Pool // *arenaScratch
+	mu   sync.Mutex
+	free []*arenaScratch
 }
 
 // NewArena returns an empty Arena. One Arena should be shared by all the
@@ -24,14 +28,22 @@ type Arena struct {
 // is safe but pools their peak scratch sizes together.
 func NewArena() *Arena { return &Arena{} }
 
-// borrow takes a scratch set from the pool, counting reuse vs. fresh
+// borrow takes a scratch set from the free list, counting reuse vs. fresh
 // allocation on the borrowing solve's recorder.
 func (a *Arena) borrow(rec obs.Recorder) *arenaScratch {
-	if v := a.pool.Get(); v != nil {
+	a.mu.Lock()
+	var s *arenaScratch
+	if n := len(a.free); n > 0 {
+		s = a.free[n-1]
+		a.free[n-1] = nil
+		a.free = a.free[:n-1]
+	}
+	a.mu.Unlock()
+	if s != nil {
 		if rec != nil {
 			rec.Add(obs.MetricSolverArenaReuse, 1)
 		}
-		return v.(*arenaScratch)
+		return s
 	}
 	if rec != nil {
 		rec.Add(obs.MetricSolverArenaAlloc, 1)
@@ -39,10 +51,12 @@ func (a *Arena) borrow(rec obs.Recorder) *arenaScratch {
 	return &arenaScratch{}
 }
 
-// release returns a scratch set to the pool. Safe on nil.
+// release returns a scratch set to the free list. Safe on nil.
 func (a *Arena) release(s *arenaScratch) {
 	if a != nil && s != nil {
-		a.pool.Put(s)
+		a.mu.Lock()
+		a.free = append(a.free, s)
+		a.mu.Unlock()
 	}
 }
 
@@ -58,8 +72,8 @@ type arenaScratch struct {
 	free    [][]float64
 }
 
-// maxFreeSlices bounds the retained free list so a pathological solve cannot
-// pin unbounded memory in the pool.
+// maxFreeSlices bounds a scratch set's free list so a pathological solve
+// cannot pin unbounded memory in the arena.
 const maxFreeSlices = 16
 
 // getFloat returns a zeroed slice of length n, recycling a free-list entry

@@ -157,6 +157,22 @@ func (it *Iterator) observeFinish(r Result, err error) {
 	}
 }
 
+// RunUntilDecided is RunContext for a caller that needs only to know on
+// which side of the loss threshold t the true loss lies. Besides the usual
+// stopping rules it converges at the first committed iterate whose bracket
+// excludes t: upper <= t proves the loss is at most t, lower > t proves it
+// exceeds t (Prop. II.1 makes the bracket valid at every iteration). The
+// iterate, refine and stall rules are those of RunContext, so a bracket
+// that still straddles t ends where a plain solve would: at the RelGap
+// target, or stalled at MaxBins. A cold solve's bounds are monotone, so a t
+// strictly inside its plain run's final bracket never decides it early and
+// the Result is the plain one bit for bit. When the decision does come
+// first, the returned bounds are proven but looser than a plain solve's.
+func (it *Iterator) RunUntilDecided(ctx context.Context, t float64) (Result, error) {
+	it.decide, it.threshold = true, t
+	return it.RunContext(ctx)
+}
+
 func (it *Iterator) runContext(ctx context.Context) (Result, error) {
 	if it.cfg.MaxDuration > 0 {
 		var cancel context.CancelFunc

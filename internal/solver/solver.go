@@ -422,6 +422,11 @@ type Iterator struct {
 	// watchdog stays on and verifies Prop. II.1 validity every iteration.
 	warm      bool
 	seedIters int // the seeding solve's iteration count, for saved-work metrics
+
+	// Decision state (set by RunUntilDecided): the solve also converges as
+	// soon as its bracket excludes threshold.
+	decide    bool
+	threshold float64
 }
 
 // NewIterator validates the queue and prepares the initial resolution.
@@ -703,14 +708,16 @@ func (it *Iterator) Refine() bool {
 	return true
 }
 
-// converged reports whether the current bounds meet the stopping rule.
+// converged reports whether the current bounds meet the stopping rule: the
+// loss floor, the RelGap target, or — for RunUntilDecided — a bracket that
+// excludes the decision threshold.
 func (it *Iterator) converged() (Result, bool) {
 	lo, hi := it.lowerLoss, it.upperLoss
 	if hi < it.cfg.LossFloor {
 		return it.result(0, lo, hi, true), true
 	}
 	mid := (hi + lo) / 2
-	if mid > 0 && hi-lo <= it.cfg.RelGap*mid {
+	if mid > 0 && hi-lo <= it.cfg.RelGap*mid || it.decide && (hi <= it.threshold || lo > it.threshold) {
 		return it.result(mid, lo, hi, true), true
 	}
 	return Result{}, false
