@@ -203,16 +203,16 @@ func recordBench(b *testing.B, name string, e benchEntry) {
 	}
 }
 
-// benchSolve times lrd.Solve with the given config and records the result
-// under name in benchResultsFile.
-func benchSolve(b *testing.B, name string, cfg lrd.SolverConfig) {
+// benchSolve times lrd.Solve with the given config and options and records
+// the result under name in benchResultsFile.
+func benchSolve(b *testing.B, name string, cfg lrd.SolverConfig, opts ...lrd.Option) {
 	b.Helper()
 	q := benchQueue(b, 2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		if _, err := lrd.Solve(q, cfg); err != nil {
+		if _, err := lrd.Solve(q, cfg, opts...); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -233,9 +233,8 @@ func BenchmarkSolveOnOff(b *testing.B) {
 // registry and a trace sink attached; comparing it against SolveOnOff in
 // BENCH_solver.json gives the observed telemetry overhead.
 func BenchmarkSolveInstrumented(b *testing.B) {
-	cfg := lrd.RecorderConfig(lrd.SolverConfig{}, lrd.NewMetricsRegistry())
-	cfg = lrd.TracedConfig(cfg, func(lrd.TracePoint) {})
-	benchSolve(b, "SolveInstrumented", cfg)
+	benchSolve(b, "SolveInstrumented", lrd.SolverConfig{},
+		lrd.WithRecorder(lrd.NewMetricsRegistry()), lrd.WithTrace(func(lrd.TracePoint) {}))
 }
 
 // BenchmarkSolveNilRecorder is the tracing layer's allocation guard: the

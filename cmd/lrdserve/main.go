@@ -22,7 +22,10 @@
 // header says hit, miss, or coalesced). At most -max-inflight solves run
 // concurrently and at most -max-queue requests wait for a slot; beyond
 // that, requests are shed fast with 429 and a Retry-After hint so overload
-// never starves the solves already running.
+// never starves the solves already running. Every solve borrows its scratch
+// memory from one process-wide solver arena, so the server retains at most
+// -max-inflight scratch sets; responses are bit-identical to arena-less
+// solves.
 //
 // Durability: -journal appends every cache fill to an fsync'd journal and
 // -resume warm-loads it on startup, so a restarted server answers its
@@ -104,7 +107,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	jflags := cliflags.JournalGroup(fs)
 	lease := cliflags.LeaseGroup(fs)
 	oflags := cliflags.ObsGroup(fs)
-	batch := cliflags.BatchFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -133,7 +135,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		Solver:         solver.Config{RelGap: *relGap, MaxBins: *maxBins},
 		RateLimit:      *rateLimit,
 		RateBurst:      *rateBurst,
-		Batch:          *batch,
 		Registry:       cli.Registry(), // /metrics and the -metrics snapshot share one registry
 		SpanSink:       cli.SpanSink(), // -trace: request/lease/solve/append spans as JSONL
 		Logger:         reqLogger,

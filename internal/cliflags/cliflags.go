@@ -223,11 +223,12 @@ func (s *StatusFlags) Options() fleetstatus.Options {
 	return fleetstatus.Options{ExpectedCells: *s.ExpectCells}
 }
 
-// Batch is the shared batch-solving flag group: -batch shares solver
+// Batch is the sweep batch-solving flag group: -batch shares solver
 // buffers and plans across a run's cells (bit-identical results), -warm
 // additionally chains cross-cell warm starts along the buffer axis where a
 // sweep supports it (valid bounds, but not bit-identical to cold solves —
-// see core.SweepConfig). -warm implies -batch.
+// see core.SweepConfig). -warm implies -batch. lrdserve takes neither: it
+// always shares one arena across its solves.
 type Batch struct {
 	Batch *bool
 	Warm  *bool
@@ -239,12 +240,6 @@ func BatchGroup(fs *flag.FlagSet) *Batch {
 		Batch: fs.Bool("batch", false, canon["batch"].Usage),
 		Warm:  fs.Bool("warm", false, canon["warm"].Usage),
 	}
-}
-
-// BatchFlag registers only -batch on fs, for commands with no warm-startable
-// sweep axis (lrdserve).
-func BatchFlag(fs *flag.FlagSet) *bool {
-	return fs.Bool("batch", false, canon["batch"].Usage)
 }
 
 // Retry is the shared per-cell retry flag group.

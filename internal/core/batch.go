@@ -32,8 +32,9 @@ func (c SweepConfig) withBatchArena() SweepConfig {
 }
 
 // realizeModel transforms a reference fluid source into the sweep's
-// configured traffic model, surfacing approximation fit error exactly as
-// the per-cell path does.
+// configured traffic model (SweepConfig.Model; the zero spec is the fluid
+// identity). Models fitted by approximation (e.g. markov) surface their
+// correlation-fit error through the MetricSourceFitMaxError gauge.
 func realizeModel(cfg SweepConfig, ref fluid.Source) (source.Source, error) {
 	s, err := cfg.Model.Realize(ref)
 	if err != nil {
@@ -62,42 +63,6 @@ func newColumnCache(n int, realize func(int) (source.Source, error)) func(int) (
 		e.once.Do(func() { e.src, e.err = realize(c) })
 		return e.src, e.err
 	}
-}
-
-// solveCellSeeded is solveCell with an optional cross-cell warm-start seed.
-// It returns the seed for the cell's next larger-buffer neighbor (nil when
-// the result carries no usable occupancy vectors). A nil input seed solves
-// cold, bit-identical to solveCell.
-func solveCellSeeded(ctx context.Context, src source.Source, util, nbuf float64, cfg solver.Config, seed *solver.Seed) (Point, *solver.Seed, error) {
-	m, err := solver.NewModelNormalized(src, util, nbuf)
-	if err != nil {
-		return Point{}, nil, err
-	}
-	res, err := solver.SolveModelSeeded(ctx, m, cfg, seed)
-	if err != nil {
-		return Point{}, nil, err
-	}
-	if res.Degraded != "" && cfg.Recorder != nil {
-		cfg.Recorder.Add(obs.MetricCoreCellsDegraded, 1)
-	}
-	next := solver.SeedFromResult(m, res)
-	if next != nil && seed != nil && seed.Iterations > next.Iterations {
-		// Keep the chain head's cost as the running cold-cost estimate for
-		// the iterations-saved metric.
-		next.Iterations = seed.Iterations
-	}
-	return Point{
-		NormalizedBuffer: nbuf,
-		Cutoff:           src.Cutoff(),
-		Hurst:            src.Hurst(),
-		Scale:            1,
-		Streams:          1,
-		Loss:             res.Loss,
-		Lower:            res.Lower,
-		Upper:            res.Upper,
-		Converged:        res.Converged,
-		Degraded:         res.Degraded,
-	}, next, nil
 }
 
 // bufferChains partitions the row-major buffer×cutoff grid (cell i maps to

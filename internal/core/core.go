@@ -376,22 +376,31 @@ func computeCell(ctx context.Context, cfg SweepConfig, fullKey string, compute f
 	}
 }
 
-// solveCell runs the solver on one parameter cell for any traffic model.
-// Cancellation or budget expiry never errors: the cell comes back with its
-// best-so-far bracket and a nonempty Degraded reason. The reported Cutoff
-// and Hurst are the source's *reference* coordinates (the grid cell it
-// models), so non-fluid cells land in the same table rows as fluid ones.
-func solveCell(ctx context.Context, src source.Source, util, nbuf float64, cfg solver.Config) (Point, error) {
+// solveCell runs the solver on one parameter cell for any traffic model,
+// warm-started from seed when it is compatible (a nil seed solves cold).
+// It returns the seed for the cell's next larger-buffer neighbor (nil when
+// the result carries no usable occupancy vectors). Cancellation or budget
+// expiry never errors: the cell comes back with its best-so-far bracket
+// and a nonempty Degraded reason. The reported Cutoff and Hurst are the
+// source's *reference* coordinates (the grid cell it models), so
+// non-fluid cells land in the same table rows as fluid ones.
+func solveCell(ctx context.Context, src source.Source, util, nbuf float64, cfg solver.Config, seed *solver.Seed) (Point, *solver.Seed, error) {
 	m, err := solver.NewModelNormalized(src, util, nbuf)
 	if err != nil {
-		return Point{}, err
+		return Point{}, nil, err
 	}
-	res, err := solver.SolveModelContext(ctx, m, cfg)
+	res, err := solver.SolveModelSeeded(ctx, m, cfg, seed)
 	if err != nil {
-		return Point{}, err
+		return Point{}, nil, err
 	}
 	if res.Degraded != "" && cfg.Recorder != nil {
 		cfg.Recorder.Add(obs.MetricCoreCellsDegraded, 1)
+	}
+	next := solver.SeedFromResult(m, res)
+	if next != nil && seed != nil && seed.Iterations > next.Iterations {
+		// Keep the chain head's cost as the running cold-cost estimate for
+		// the iterations-saved metric.
+		next.Iterations = seed.Iterations
 	}
 	return Point{
 		NormalizedBuffer: nbuf,
@@ -404,14 +413,12 @@ func solveCell(ctx context.Context, src source.Source, util, nbuf float64, cfg s
 		Upper:            res.Upper,
 		Converged:        res.Converged,
 		Degraded:         res.Degraded,
-	}, nil
+	}, next, nil
 }
 
 // realizeCell transforms one cell's reference fluid source into the
-// sweep's configured traffic model (SweepConfig.Model; the zero spec is
-// the fluid identity) and solves it. Models fitted by approximation (e.g.
-// markov) surface their correlation-fit error through the
-// MetricSourceFitMaxError gauge.
+// sweep's configured traffic model (see realizeModel) and solves it cold,
+// or ships it to cfg.Remote.
 func realizeCell(ctx context.Context, cfg SweepConfig, ref fluid.Source, util, nbuf float64) (Point, error) {
 	if cfg.Remote != nil {
 		p, err := cfg.Remote(ctx, RemoteCell{
@@ -426,14 +433,12 @@ func realizeCell(ctx context.Context, cfg SweepConfig, ref fluid.Source, util, n
 		}
 		return p, nil
 	}
-	s, err := cfg.Model.Realize(ref)
+	s, err := realizeModel(cfg, ref)
 	if err != nil {
 		return Point{}, err
 	}
-	if fq, ok := s.(source.FitQuality); ok && cfg.Solver.Recorder != nil {
-		cfg.Solver.Recorder.Set(obs.MetricSourceFitMaxError, fq.FitMaxError())
-	}
-	return solveCell(ctx, s, util, nbuf, cfg.Solver)
+	p, _, err := solveCell(ctx, s, util, nbuf, cfg.Solver, nil)
+	return p, err
 }
 
 // LossVsBufferAndCutoff computes the model loss surface of Figs. 4 and 5:
@@ -480,7 +485,7 @@ func LossVsBufferAndCutoff(ctx context.Context, tm TraceModel, util float64, buf
 		if err != nil {
 			return Point{}, nil, err
 		}
-		return solveCellSeeded(ctx, s, util, b, cfg.Solver, seed)
+		return solveCell(ctx, s, util, b, cfg.Solver, seed)
 	}
 	if cfg.WarmStarts && cfg.Remote == nil {
 		// Warm results differ from cold ones in their low-order digits, so

@@ -79,14 +79,28 @@ func (r *Result) Realize() (source.Source, error) {
 	return r.Response.Model.Realize(ref)
 }
 
-// Trace fits the model ingredients to a trace. Estimation failures carry
-// api.CodeEstimation; everything else is a bad-request-shaped input error.
+// Trace fits the model ingredients to a trace. It validates its whole
+// input — a CSV trace and a /v1/fit request take the same checks — so
+// every malformed trace or option is an api.CodeBadRequest error;
+// estimation failures on a well-formed trace carry api.CodeEstimation.
 func Trace(tr traces.Trace, opts Options) (*Result, error) {
 	if len(tr.Rates) == 0 {
 		return nil, api.Errorf(api.CodeBadRequest, "empty trace")
 	}
-	if tr.BinWidth <= 0 {
-		return nil, api.Errorf(api.CodeBadRequest, "trace bin width must be positive, got %g", tr.BinWidth)
+	if !(tr.BinWidth > 0) || math.IsInf(tr.BinWidth, 1) {
+		return nil, api.Errorf(api.CodeBadRequest, "trace bin width must be finite and positive, got %g", tr.BinWidth)
+	}
+	for i, v := range tr.Rates {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, api.Errorf(api.CodeBadRequest, "non-finite rate at index %d", i)
+		}
+		if v < 0 {
+			return nil, api.Errorf(api.CodeBadRequest, "negative rate %g at index %d", v, i)
+		}
+	}
+	cutoff := opts.Cutoff
+	if !(cutoff >= 0) || math.IsInf(cutoff, 1) {
+		return nil, api.Errorf(api.CodeBadRequest, "cutoff must be finite and >= 0, got %g", cutoff)
 	}
 	bins := opts.Bins
 	if bins <= 0 {
@@ -113,10 +127,6 @@ func Trace(tr traces.Trace, opts Options) (*Result, error) {
 		return nil, api.Errorf(api.CodeEstimation, "calibrating theta from mean epoch %g s: %v", epoch, err)
 	}
 
-	cutoff := opts.Cutoff
-	if cutoff < 0 {
-		return nil, api.Errorf(api.CodeBadRequest, "cutoff must be >= 0, got %g", cutoff)
-	}
 	resolved := cutoff
 	if resolved == 0 {
 		resolved = math.Inf(1)
@@ -184,23 +194,9 @@ func chooseHurst(est lrdest.Estimates, opts Options) (raw float64, chosen string
 	}
 }
 
-// FromRequest adapts a /v1/fit wire request into a trace and options. The
-// returned error is already typed for the wire.
-func FromRequest(req api.FitRequest) (traces.Trace, Options, error) {
-	if len(req.Rates) == 0 {
-		return traces.Trace{}, Options{}, api.Errorf(api.CodeBadRequest, "rates is required")
-	}
-	if req.BinWidth <= 0 {
-		return traces.Trace{}, Options{}, api.Errorf(api.CodeBadRequest, "bin_width must be positive, got %g", req.BinWidth)
-	}
-	for i, v := range req.Rates {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return traces.Trace{}, Options{}, api.Errorf(api.CodeBadRequest, "non-finite rate at index %d", i)
-		}
-		if v < 0 {
-			return traces.Trace{}, Options{}, api.Errorf(api.CodeBadRequest, "negative rate %g at index %d", v, i)
-		}
-	}
+// FromRequest adapts a /v1/fit wire request into a trace and options;
+// Trace validates both.
+func FromRequest(req api.FitRequest) (traces.Trace, Options) {
 	tr := traces.Trace{Name: "wire", BinWidth: req.BinWidth, Rates: req.Rates}
 	opts := Options{
 		Bins:      req.Bins,
@@ -209,7 +205,7 @@ func FromRequest(req api.FitRequest) (traces.Trace, Options, error) {
 		Cutoff:    req.Cutoff,
 		Model:     req.Model,
 	}
-	return tr, opts, nil
+	return tr, opts
 }
 
 // String renders the fit like the lrdtrace report (one line per fact), for

@@ -54,8 +54,9 @@ const (
 	MetricSolverConvolveDirect  = "solver_convolve_direct_total"
 	MetricSolverConvolveFFT     = "solver_convolve_fft_total"
 
-	// Batched solving (solver.Arena / solver.Batch): scratch-buffer reuse
-	// and cross-cell warm-start accounting.
+	// Batched solving (a shared solver.Arena: batch and warm sweeps, and
+	// every lrdserve solve): scratch-buffer reuse and cross-cell warm-start
+	// accounting.
 	MetricSolverArenaReuse    = "solver_arena_reuse_total"           // scratch sets served from the arena pool
 	MetricSolverArenaAlloc    = "solver_arena_alloc_total"           // scratch sets newly allocated
 	MetricSolverWarmSolves    = "solver_warm_solves_total"           // solves seeded from a neighbor's occupancy vectors

@@ -37,13 +37,7 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 		s.failCode(w, http.StatusBadRequest, "bad_request", api.CodeBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
-	tr, opts, err := fit.FromRequest(req)
-	if err != nil {
-		finish(http.StatusBadRequest, "")
-		s.failCode(w, http.StatusBadRequest, "bad_request", api.CodeBadRequest, err)
-		return
-	}
-	res, err := fit.Trace(tr, opts)
+	res, err := fit.Trace(fit.FromRequest(req))
 	if err != nil {
 		status, kind := http.StatusBadRequest, "bad_request"
 		var aerr *api.Error
@@ -106,7 +100,7 @@ func (s *Server) handleProvision(w http.ResponseWriter, r *http.Request) {
 		Solver:  solverConfig(&req.SolveRequest, s.cfg.Solver),
 	}
 	opts.Solver.Recorder = s.reg
-	opts.Solver.Arena = s.arena // nil when batching is off: Provision brings its own
+	opts.Solver.Arena = s.arena
 
 	release, status, body := s.admit(ctx)
 	if release == nil {

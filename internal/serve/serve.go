@@ -67,12 +67,6 @@ type Config struct {
 	// Solver is the default solver configuration; requests may override the
 	// convergence knobs (relgap, maxbins) per call.
 	Solver solver.Config
-	// Batch shares one solver.Arena across all the process's solves — the
-	// /v1/solve singleflight path and every /v1/sweep cell — so concurrent
-	// and successive solves recycle FFT workspaces, step buffers, and
-	// refinement tables instead of reallocating them. Purely an allocation
-	// optimization: responses are bit-identical to the unbatched server.
-	Batch bool
 	// Journal, when non-nil, persists the solve cache: every cache fill is
 	// appended, and New warm-loads the journal's serve entries (keys are
 	// namespaced, so sweep journals pass through harmlessly). Open it with
@@ -145,8 +139,10 @@ type Server struct {
 	sem   chan struct{}
 	queue chan struct{}
 	cache *lru
-	// arena is the process-wide solve scratch pool (Config.Batch); nil when
-	// batching is off.
+	// arena is the process-wide solve scratch pool: /v1/solve, every
+	// /v1/sweep cell and /v1/provision recycle FFT workspaces, step buffers
+	// and refinement tables through it. Responses are bit-identical to
+	// arena-less solves.
 	arena *solver.Arena
 
 	mu      sync.Mutex
@@ -178,9 +174,7 @@ func New(cfg Config) *Server {
 		sem:     make(chan struct{}, cfg.MaxInflight),
 		queue:   make(chan struct{}, cfg.MaxQueue),
 		flights: make(map[string]*flight),
-	}
-	if cfg.Batch {
-		s.arena = solver.NewArena()
+		arena:   solver.NewArena(),
 	}
 	if cfg.CacheSize > 0 {
 		s.cache = newLRU(cfg.CacheSize)
@@ -652,7 +646,7 @@ func (s *Server) admitAndSolve(ctx context.Context, req SolveRequest, job solveJ
 	cfg := solverConfig(&req, s.cfg.Solver)
 	cfg.Recorder = s.reg
 	// Hash-invisible and bit-invisible: cache keys and response bodies are
-	// unchanged by the shared arena (nil when batching is off).
+	// unchanged by the shared arena.
 	cfg.Arena = s.arena
 	budget := time.Duration(req.Solver.Timeout)
 	if s.cfg.RequestTimeout > 0 && (budget <= 0 || budget > s.cfg.RequestTimeout) {

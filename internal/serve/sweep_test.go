@@ -2,9 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -14,6 +16,7 @@ import (
 	"time"
 
 	"lrd/internal/core"
+	"lrd/internal/solver"
 )
 
 func postSweep(t *testing.T, ts *httptest.Server, body string) (*http.Response, SweepResponse) {
@@ -178,38 +181,93 @@ func TestSweepFleetSplitsAcrossReplicas(t *testing.T) {
 	}
 }
 
-// TestSweepBatchBitIdentical: a batch-mode server (shared solve arena)
-// returns responses byte-identical to an unbatched server, for both the
-// sweep endpoint and /v1/solve.
-func TestSweepBatchBitIdentical(t *testing.T) {
-	plain := New(Config{})
-	tsPlain := httptest.NewServer(plain.Handler())
-	defer tsPlain.Close()
-	batch := New(Config{Batch: true})
-	tsBatch := httptest.NewServer(batch.Handler())
-	defer tsBatch.Close()
-	if batch.arena == nil {
-		t.Fatal("batch server has no arena")
+// TestSharedArenaBitIdentical: every server solve borrows scratch from the
+// process-wide arena, so a server whose arena was dirtied by a larger
+// solve must still answer /v1/solve and /v1/sweep with the bytes of a
+// fresh server, and with bounds bitwise equal to an arena-less solve.
+func TestSharedArenaBitIdentical(t *testing.T) {
+	dirty := New(Config{})
+	tsDirty := httptest.NewServer(dirty.Handler())
+	defer tsDirty.Close()
+	fresh := New(Config{})
+	tsFresh := httptest.NewServer(fresh.Handler())
+	defer tsFresh.Close()
+
+	// Grow the dirty server's scratch past anything the compared solves use.
+	const big = `{"marginal":"0:0.5,2:0.5","hurst":0.8,"epoch":0.05,"util":0.8,"buffer":0.7,"cutoff":3,` +
+		`"solver":{"relgap":0.01,"maxbins":2048}}`
+	resp, body := post(t, tsDirty, big)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("dirtying solve: %d %s", resp.StatusCode, body)
+	}
+	var bigRes SolveResponse
+	if err := json.Unmarshal(body, &bigRes); err != nil {
+		t.Fatal(err)
 	}
 
 	sweep := `{"marginal":"0:0.5,2:0.5","hurst":0.8,"epoch":0.05,"util":0.8,"buffer":1,` +
 		`"buffers":[0.05,0.1,0.2],"cutoffs":[1,2]}`
-	_, srPlain := postSweep(t, tsPlain, sweep)
-	_, srBatch := postSweep(t, tsBatch, sweep)
-	if len(srBatch.Cells) != len(srPlain.Cells) {
-		t.Fatalf("cell counts differ: %d vs %d", len(srBatch.Cells), len(srPlain.Cells))
+	_, srFresh := postSweep(t, tsFresh, sweep)
+	_, srDirty := postSweep(t, tsDirty, sweep)
+	if len(srDirty.Cells) != len(srFresh.Cells) {
+		t.Fatalf("cell counts differ: %d vs %d", len(srDirty.Cells), len(srFresh.Cells))
 	}
-	for i := range srPlain.Cells {
-		if !bytes.Equal([]byte(srBatch.Cells[i].Result), []byte(srPlain.Cells[i].Result)) {
-			t.Fatalf("cell %d differs between batch and plain servers:\n%s\n%s",
-				i, srBatch.Cells[i].Result, srPlain.Cells[i].Result)
+	bodies := make([][]byte, 0, len(srFresh.Cells)+1)
+	for i := range srFresh.Cells {
+		if !bytes.Equal([]byte(srDirty.Cells[i].Result), []byte(srFresh.Cells[i].Result)) {
+			t.Fatalf("cell %d differs between dirty-arena and fresh servers:\n%s\n%s",
+				i, srDirty.Cells[i].Result, srFresh.Cells[i].Result)
 		}
+		bodies = append(bodies, srFresh.Cells[i].Result)
 	}
 
 	solo := `{"marginal":"0:0.5,2:0.5","hurst":0.8,"epoch":0.05,"util":0.8,"buffer":0.3,"cutoff":2}`
-	_, bodyPlain := post(t, tsPlain, solo)
-	_, bodyBatch := post(t, tsBatch, solo)
-	if !bytes.Equal(bodyBatch, bodyPlain) {
-		t.Fatalf("/v1/solve differs between batch and plain servers:\n%s\n%s", bodyBatch, bodyPlain)
+	_, bodyFresh := post(t, tsFresh, solo)
+	_, bodyDirty := post(t, tsDirty, solo)
+	if !bytes.Equal(bodyDirty, bodyFresh) {
+		t.Fatalf("/v1/solve differs between dirty-arena and fresh servers:\n%s\n%s", bodyDirty, bodyFresh)
+	}
+	bodies = append(bodies, bodyFresh)
+
+	// Each response's bounds equal an arena-less solve of its key, bitwise.
+	reqs := make([]SolveRequest, 0, len(bodies))
+	var sr SweepRequest
+	if err := json.Unmarshal([]byte(sweep), &sr); err != nil {
+		t.Fatal(err)
+	}
+	cells, err := sr.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs = append(reqs, cells...)
+	var soloReq SolveRequest
+	if err := json.Unmarshal([]byte(solo), &soloReq); err != nil {
+		t.Fatal(err)
+	}
+	reqs = append(reqs, soloReq)
+	for i, req := range reqs {
+		var got SolveResponse
+		if err := json.Unmarshal(bodies[i], &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.Bins >= bigRes.Bins {
+			t.Fatalf("request %d solved at %d bins, not below the dirtying solve's %d", i, got.Bins, bigRes.Bins)
+		}
+		job, err := buildSolve(&req, fresh.cfg.Solver)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := solver.SolveModelContext(context.Background(), job.model, solverConfig(&req, fresh.cfg.Solver))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range []struct {
+			name      string
+			got, want float64
+		}{{"loss", got.Loss, want.Loss}, {"lower", got.Lower, want.Lower}, {"upper", got.Upper, want.Upper}} {
+			if math.Float64bits(f.got) != math.Float64bits(f.want) {
+				t.Fatalf("request %d: %s = %v, arena-less solve gives %v", i, f.name, f.got, f.want)
+			}
+		}
 	}
 }

@@ -185,8 +185,9 @@ func TestSeedFromResultNil(t *testing.T) {
 	}
 }
 
-// TestWarmSolveAllDeterministic: two warm SolveAll runs over the same grid
-// produce bitwise-identical results, and warm metrics record the chains.
+// TestWarmSolveAllDeterministic: two warm ascending-buffer chains over the
+// same grid produce bitwise-identical results, and warm metrics record the
+// chains.
 func TestWarmSolveAllDeterministic(t *testing.T) {
 	q, ok := randomModel(17)
 	if !ok {
@@ -202,11 +203,7 @@ func TestWarmSolveAllDeterministic(t *testing.T) {
 		reg := obs.NewRegistry()
 		cfg := warmTestCfg
 		cfg.Recorder = reg
-		b := NewBatch(cfg, BatchOptions{WarmStarts: true})
-		out, err := b.SolveAll(context.Background(), models)
-		if err != nil {
-			t.Fatalf("warm SolveAll: %v", err)
-		}
+		out := solveAscending(t, models, cfg, true)
 		if got := reg.CounterValue(obs.MetricSolverWarmSolves); got != float64(len(models)-1) {
 			t.Fatalf("warm_solves = %v, want %d (all but the chain head)", got, len(models)-1)
 		}
@@ -236,22 +233,12 @@ func TestWarmChainIterationProfile(t *testing.T) {
 		m.Buffer *= 1.0 + 0.025*float64(i)
 		models = append(models, m)
 	}
-	ctx := context.Background()
-
 	coldStart := time.Now()
-	coldBatch := NewBatch(warmTestCfg, BatchOptions{})
-	coldRes, err := coldBatch.SolveAll(ctx, models)
-	if err != nil {
-		t.Fatal(err)
-	}
+	coldRes := solveAscending(t, models, warmTestCfg, false)
 	coldDur := time.Since(coldStart)
 
 	warmStart := time.Now()
-	warmBatch := NewBatch(warmTestCfg, BatchOptions{WarmStarts: true})
-	warmRes, err := warmBatch.SolveAll(ctx, models)
-	if err != nil {
-		t.Fatal(err)
-	}
+	warmRes := solveAscending(t, models, warmTestCfg, true)
 	warmDur := time.Since(warmStart)
 
 	coldIters, warmIters := 0, 0
