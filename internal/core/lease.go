@@ -55,17 +55,6 @@ type LeaseStoreOptions struct {
 	Warn io.Writer
 }
 
-type leaseDone struct {
-	value json.RawMessage
-	epoch int64
-}
-
-type leaseClaim struct {
-	worker   string
-	epoch    int64
-	deadline int64 // UnixNano
-}
-
 // LeaseStore is the distributed CellStore: an append-only journal
 // (internal/journal) shared by N coordinator-free worker processes, used
 // both as the durability layer and as the work queue. Ownership of a cell
@@ -85,11 +74,13 @@ type leaseClaim struct {
 //     claimant takes the cell over at a higher epoch.
 //   - Fence: completions carry the epoch of the lease they were computed
 //     under, and on conflicting completions the highest epoch wins
-//     regardless of append order (journal.Completed). A zombie — a worker
+//     regardless of append order (journal.Cell.Apply). A zombie — a worker
 //     that stalled, lost its lease, and finished anyway — appends a
 //     completion with a visibly stale epoch that loses every fold, so it
 //     can never overwrite the newer holder's result.
 //
+// The store reads the journal only through the shared fencing fold
+// (journal.Cells); what it adds is when to append each of those records.
 // LeaseStore implements CellStore and LeaseClaimer; it is safe for
 // concurrent use by the sweep worker pool plus the heartbeat goroutine.
 type LeaseStore struct {
@@ -104,11 +95,9 @@ type LeaseStore struct {
 	w *journal.Writer
 
 	mu     sync.Mutex
-	offset int64                 // journal bytes folded so far
-	done   map[string]leaseDone  // winning completion per cell
-	claims map[string]leaseClaim // live claim per cell
-	epochs map[string]int64      // highest epoch ever seen per cell
-	held   map[string]int64      // leases this worker holds -> epoch
+	offset int64            // journal bytes folded so far
+	cells  journal.Cells    // the folded journal
+	held   map[string]int64 // leases this worker holds -> epoch
 }
 
 // OpenLeaseStore opens the shared work journal at path and folds its
@@ -141,9 +130,7 @@ func OpenLeaseStore(path string, opts LeaseStoreOptions) (*LeaseStore, error) {
 		rec:    opts.Recorder,
 		warn:   opts.Warn,
 		now:    time.Now,
-		done:   map[string]leaseDone{},
-		claims: map[string]leaseClaim{},
-		epochs: map[string]int64{},
+		cells:  journal.Cells{},
 		held:   map[string]int64{},
 	}
 	w, err := journal.Open(path, true)
@@ -205,51 +192,25 @@ func (s *LeaseStore) refreshLocked() error {
 	return nil
 }
 
-// foldLocked applies one journal record to the in-memory lease state.
-// These rules are the shared-queue semantics; every worker folds the same
-// records in the same file order, so all reach the same state.
-func (s *LeaseStore) foldLocked(rec journal.Record) {
-	if rec.Epoch > s.epochs[rec.Key] {
-		s.epochs[rec.Key] = rec.Epoch
-		if s.rec != nil {
-			s.rec.Set(obs.MetricCoreLeaseEpoch, float64(rec.Epoch))
-		}
+// foldLocked applies one journal record to the folded lease state. Every
+// worker folds the same records in the same file order, so all reach the
+// same state.
+func (s *LeaseStore) foldLocked(rec journal.Record) journal.Change {
+	epoch := s.cell(rec.Key).Epoch
+	ch := s.cells.Apply(rec)
+	if c := s.cells[rec.Key]; c.Epoch > epoch && s.rec != nil {
+		s.rec.Set(obs.MetricCoreLeaseEpoch, float64(c.Epoch))
 	}
-	switch rec.Status {
-	case journal.StatusOK:
-		if cur, ok := s.done[rec.Key]; !ok || rec.Epoch >= cur.epoch {
-			s.done[rec.Key] = leaseDone{value: rec.Value, epoch: rec.Epoch}
-			// The completion consumes any claim it supersedes.
-			if c, ok := s.claims[rec.Key]; ok && rec.Epoch >= c.epoch {
-				delete(s.claims, rec.Key)
-			}
-		}
-		// Else: a fenced zombie write — counted by whoever observes it.
-		// (Our own fenced completions are counted at Store time.)
-	case journal.StatusFail:
-		if cur, ok := s.done[rec.Key]; ok && rec.Epoch >= cur.epoch {
-			delete(s.done, rec.Key)
-		}
-	case journal.StatusClaimed:
-		cur, ok := s.claims[rec.Key]
-		switch {
-		case rec.Deadline <= 0:
-			// Release: only the holder at the claim's own epoch may release.
-			if ok && cur.worker == rec.Worker && cur.epoch == rec.Epoch {
-				delete(s.claims, rec.Key)
-			}
-		case !ok || rec.Epoch > cur.epoch:
-			s.claims[rec.Key] = leaseClaim{worker: rec.Worker, epoch: rec.Epoch, deadline: rec.Deadline}
-		case rec.Epoch == cur.epoch && rec.Worker == cur.worker:
-			// Renewal: deadlines only ever extend.
-			if rec.Deadline > cur.deadline {
-				cur.deadline = rec.Deadline
-				s.claims[rec.Key] = cur
-			}
-			// Equal-epoch claims from a different worker lose by file order:
-			// the fold keeps the first, ignores the rest.
-		}
+	return ch
+}
+
+// cell returns the folded state of key (the zero Cell if the journal has
+// no record of it). Callers hold s.mu.
+func (s *LeaseStore) cell(key string) journal.Cell {
+	if c := s.cells[key]; c != nil {
+		return *c
 	}
+	return journal.Cell{}
 }
 
 // Acquire implements LeaseClaimer. It loops: adopt the cell if some worker
@@ -288,20 +249,20 @@ func (s *LeaseStore) tryAcquire(key string) (value json.RawMessage, acquired, de
 	if err := s.refreshLocked(); err != nil {
 		return nil, false, false, err
 	}
-	if d, ok := s.done[key]; ok {
-		return d.value, false, true, nil
+	c := s.cell(key)
+	if c.Done() {
+		return c.Winner.Value, false, true, nil
 	}
 	if _, ok := s.held[key]; ok {
 		// Re-entrant acquire of a lease this worker already holds.
 		return nil, true, true, nil
 	}
-	now := s.now().UnixNano()
-	c, claimed := s.claims[key]
-	if claimed && c.deadline > now {
+	claimed := c.Claim != nil
+	if claimed && c.Claim.Deadline > s.now().UnixNano() {
 		return nil, false, false, nil // live claim by another worker
 	}
 	// Unclaimed, expired, or released: claim at a fresh fencing epoch.
-	epoch := s.epochs[key] + 1
+	epoch := c.Epoch + 1
 	deadline := s.now().Add(s.ttl).UnixNano()
 	if _, err := s.w.Append(journal.Record{
 		Key: key, Status: journal.StatusClaimed,
@@ -314,11 +275,12 @@ func (s *LeaseStore) tryAcquire(key string) (value json.RawMessage, acquired, de
 	if err := s.refreshLocked(); err != nil {
 		return nil, false, false, err
 	}
-	if d, ok := s.done[key]; ok {
+	c = s.cell(key)
+	if c.Done() {
 		// A completion slipped in between our read and our claim.
-		return d.value, false, true, nil
+		return c.Winner.Value, false, true, nil
 	}
-	if w, ok := s.claims[key]; ok && w.worker == s.worker && w.epoch == epoch {
+	if c.HeldBy(s.worker, epoch) {
 		s.held[key] = epoch
 		if s.rec != nil {
 			s.rec.Add(obs.MetricCoreLeasesClaimed, 1)
@@ -369,8 +331,25 @@ func (s *LeaseStore) Lookup(key string) (json.RawMessage, bool) {
 	if err := s.refreshLocked(); err != nil {
 		return nil, false
 	}
-	d, ok := s.done[key]
-	return d.value, ok
+	if c := s.cell(key); c.Done() {
+		return c.Winner.Value, true
+	}
+	return nil, false
+}
+
+// Holder reports which worker's claim holds the open cell key in the
+// folded journal — live, or expired and not yet taken over. It returns
+// false for done and unclaimed cells, and on a refresh error.
+func (s *LeaseStore) Holder(key string) (worker string, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.refreshLocked(); err != nil {
+		return "", false
+	}
+	if c := s.cell(key); !c.Done() && c.Claim != nil {
+		return c.Claim.Worker, true
+	}
+	return "", false
 }
 
 // Store implements CellStore: it completes the cell under the lease this
@@ -388,10 +367,11 @@ func (s *LeaseStore) Store(key string, value any) error {
 		s.rec.Set(obs.MetricCoreLeasesHeld, float64(len(s.held)))
 	}
 	s.mu.Unlock()
-	n, err := s.w.Append(journal.Record{
+	rec := journal.Record{
 		Key: key, Status: journal.StatusOK, Value: raw,
 		Worker: s.worker, Epoch: epoch,
-	})
+	}
+	n, err := s.w.Append(rec)
 	if err != nil {
 		return err
 	}
@@ -400,21 +380,14 @@ func (s *LeaseStore) Store(key string, value any) error {
 	// included) before judging the conflict: a zombie must see the thief's
 	// newer completion, not just its own stale state. A refresh error here
 	// is tolerable — the append above already made the record durable and
-	// the next refresh re-folds from the same offset.
+	// the next refresh re-folds from the same offset. Re-applying our own
+	// record is idempotent and settles the cell even if the refresh failed.
 	_ = s.refreshLocked()
-	if cur, ok := s.done[key]; !ok || epoch >= cur.epoch {
-		s.done[key] = leaseDone{value: raw, epoch: epoch}
-		if c, ok := s.claims[key]; ok && epoch >= c.epoch {
-			delete(s.claims, key)
-		}
-	} else if s.rec != nil {
+	if s.foldLocked(rec) == journal.ChangeFenced && s.rec != nil {
 		// Our lease was stolen mid-compute and the thief finished first:
 		// our write just lost the epoch fold. Harmless — fencing working
 		// as designed — but worth counting.
 		s.rec.Add(obs.MetricCoreLeasesFenced, 1)
-	}
-	if epoch > s.epochs[key] {
-		s.epochs[key] = epoch
 	}
 	s.mu.Unlock()
 	if s.rec != nil {
@@ -448,7 +421,13 @@ func (s *LeaseStore) Completed() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	_ = s.refreshLocked() // best effort; a refresh error just undercounts
-	return len(s.done)
+	n := 0
+	for _, c := range s.cells {
+		if c.Done() {
+			n++
+		}
+	}
+	return n
 }
 
 // Range calls fn for every completed cell currently folded, stopping early
@@ -457,8 +436,8 @@ func (s *LeaseStore) Completed() int {
 func (s *LeaseStore) Range(fn func(key string, value json.RawMessage) bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for k, d := range s.done {
-		if !fn(k, d.value) {
+	for k, c := range s.cells {
+		if c.Done() && !fn(k, c.Winner.Value) {
 			return
 		}
 	}
@@ -514,7 +493,7 @@ func (s *LeaseStore) renewHeld() {
 	}
 	var renew []renewal
 	for key, epoch := range s.held {
-		if c, ok := s.claims[key]; !ok || c.worker != s.worker || c.epoch != epoch {
+		if c := s.cell(key); !c.HeldBy(s.worker, epoch) {
 			// The lease was stolen out from under us (we stalled past the
 			// TTL). Stop renewing; if the compute still in flight completes,
 			// its stale-epoch write will be fenced out.

@@ -334,13 +334,8 @@ func TestLeaseReleaseMakesCellImmediatelyClaimable(t *testing.T) {
 	if err := w1.Release("cell"); err != nil {
 		t.Fatal(err)
 	}
-	w2.mu.Lock()
-	defer w2.mu.Unlock()
-	if err := w2.refreshLocked(); err != nil {
-		t.Fatal(err)
-	}
-	if c, ok := w2.claims["cell"]; !ok || c.worker != "w2" {
-		t.Fatalf("w1's stale release disturbed w2's claim: %+v ok=%t", c, ok)
+	if h, ok := w2.Holder("cell"); !ok || h != "w2" {
+		t.Fatalf("w1's stale release disturbed w2's claim: holder %q ok=%t", h, ok)
 	}
 }
 

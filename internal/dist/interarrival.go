@@ -19,12 +19,20 @@ import (
 //   - CCDFAtLeast(t) = Pr{T >= t} (differs from CCDF only at atoms)
 //   - IntegralCCDF(a) = ∫_a^∞ Pr{T > t} dt, the partial mean that yields
 //     the closed-form per-state expected loss E[W_l|Q=x]
+//   - CCDFBoth(t) = (CCDF(t), CCDFAtLeast(t)) in one evaluation, each
+//     component bitwise equal to the separate call — the solver tabulates
+//     both cdfs through it
+//   - IntegralCCDFFunc() = IntegralCCDF with the law's constants hoisted,
+//     bitwise equal at every point — the solver tabulates the loss through
+//     it
 //   - Mean()  = E[T] = IntegralCCDF(0)
 //   - Upper() = essential supremum of T (math.Inf(1) if unbounded)
 type Interarrival interface {
 	CCDF(t float64) float64
 	CCDFAtLeast(t float64) float64
+	CCDFBoth(t float64) (gt, ge float64)
 	IntegralCCDF(a float64) float64
+	IntegralCCDFFunc() func(a float64) float64
 	Mean() float64
 	Upper() float64
 	Sample(rng *rand.Rand) float64

@@ -4,15 +4,15 @@
 // Two transform kernels are provided: an iterative radix-2
 // Cooley–Tukey transform for power-of-two lengths and Bluestein's
 // chirp-z algorithm for arbitrary lengths. Callers normally use the
-// length-agnostic Forward/Inverse entry points, or ConvolveReal for linear
-// convolution of real sequences (the operation at the heart of the paper's
-// O(M log M) queue-occupancy recursion).
+// length-agnostic Forward/Inverse entry points, or ConvolveRealInto for
+// linear convolution of real sequences (the operation at the heart of the
+// paper's O(M log M) queue-occupancy recursion).
 //
 // Twiddle factors for the radix-2 kernel are precomputed per transform
 // size and cached process-wide (the solver hits the same handful of sizes
 // millions of times during a sweep). SetRecorder attaches a telemetry
 // recorder counting plan-cache hits/misses, transform sizes, and which
-// convolution path (direct vs. FFT) each ConvolveReal call took.
+// convolution path (direct vs. FFT) each ConvolveRealInto call took.
 package fft
 
 import (
@@ -46,10 +46,10 @@ func recorder() obs.Recorder {
 // the O(n·m) direct convolution beats the FFT path.
 const directConvolutionCrossover = 4096
 
-// DirectConvolutionSizes reports whether ConvolveReal would take the direct
-// O(n·m) path for inputs of the given lengths — exported so instrumented
-// callers (the solver's per-step metrics) can label the path taken without
-// duplicating the crossover constant.
+// DirectConvolutionSizes reports whether ConvolveRealInto would take the
+// direct O(n·m) path for inputs of the given lengths — exported so
+// instrumented callers (the solver's per-step metrics) can label the path
+// taken without duplicating the crossover constant.
 func DirectConvolutionSizes(n, m int) bool {
 	return n*m <= directConvolutionCrossover
 }
@@ -246,14 +246,6 @@ func bluestein(x []complex128, inverse bool) {
 	}
 }
 
-// ConvolveReal returns the full linear convolution of the real sequences a
-// and b: out[k] = sum_i a[i]*b[k-i], with len(out) = len(a)+len(b)-1.
-// The transform length is padded to the next power of two, giving
-// O((n+m) log(n+m)) time. Either input being empty yields an empty result.
-func ConvolveReal(a, b []float64) []float64 {
-	return ConvolveRealInto(a, b, new(Scratch))
-}
-
 // convolveNaiveInto accumulates the O(n·m) direct convolution of a and b
 // into out, which must be zeroed and of length len(a)+len(b)-1.
 func convolveNaiveInto(out, a, b []float64) {
@@ -269,7 +261,7 @@ func convolveNaiveInto(out, a, b []float64) {
 
 // ConvolveRealNaive exposes the direct O(n·m) linear convolution. The solver
 // uses it below a crossover size where it beats the FFT, and tests use it as
-// the ground truth for ConvolveReal.
+// the ground truth for ConvolveRealInto.
 func ConvolveRealNaive(a, b []float64) []float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return nil

@@ -156,7 +156,7 @@ func TestConvolveRealMatchesNaive(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		got := ConvolveReal(a, b)
+		got := ConvolveRealInto(a, b, nil)
 		want := ConvolveRealNaive(a, b)
 		if len(got) != len(want) {
 			t.Fatalf("len mismatch: %d vs %d", len(got), len(want))
@@ -170,10 +170,10 @@ func TestConvolveRealMatchesNaive(t *testing.T) {
 }
 
 func TestConvolveRealEmpty(t *testing.T) {
-	if got := ConvolveReal(nil, []float64{1}); got != nil {
+	if got := ConvolveRealInto(nil, []float64{1}, nil); got != nil {
 		t.Fatalf("want nil, got %v", got)
 	}
-	if got := ConvolveReal([]float64{1}, nil); got != nil {
+	if got := ConvolveRealInto([]float64{1}, nil, nil); got != nil {
 		t.Fatalf("want nil, got %v", got)
 	}
 }
@@ -181,7 +181,7 @@ func TestConvolveRealEmpty(t *testing.T) {
 func TestConvolveRealIdentity(t *testing.T) {
 	// Convolution with [1] is the identity.
 	a := []float64{3, 1, 4, 1, 5}
-	got := ConvolveReal(a, []float64{1})
+	got := ConvolveRealInto(a, []float64{1}, nil)
 	for i := range a {
 		if math.Abs(got[i]-a[i]) > 1e-12 {
 			t.Fatalf("identity convolution failed at %d", i)
@@ -214,7 +214,7 @@ func TestConvolvePreservesMassProperty(t *testing.T) {
 		for i := range b {
 			b[i] /= sb
 		}
-		out := ConvolveReal(a, b)
+		out := ConvolveRealInto(a, b, nil)
 		var total float64
 		for _, v := range out {
 			total += v
@@ -239,8 +239,8 @@ func TestConvolveCommutativeProperty(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		ab := ConvolveReal(a, b)
-		ba := ConvolveReal(b, a)
+		ab := ConvolveRealInto(a, b, nil)
+		ba := ConvolveRealInto(b, a, nil)
 		for i := range ab {
 			if math.Abs(ab[i]-ba[i]) > 1e-9 {
 				return false
@@ -324,7 +324,7 @@ func BenchmarkConvolveReal4096(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ConvolveReal(a, c)
+		ConvolveRealInto(a, c, nil)
 	}
 }
 
@@ -375,10 +375,10 @@ func TestConvolvePathCounters(t *testing.T) {
 	defer SetRecorder(nil)
 	small := make([]float64, 8)
 	small[0] = 1
-	_ = ConvolveReal(small, small) // 64 <= crossover: direct
+	_ = ConvolveRealInto(small, small, nil) // 64 <= crossover: direct
 	big := make([]float64, 256)
 	big[0] = 1
-	_ = ConvolveReal(big, big) // 65536 > crossover: FFT
+	_ = ConvolveRealInto(big, big, nil) // 65536 > crossover: FFT
 	if v := reg.CounterValue(obs.MetricFFTConvolveNaive); v != 1 {
 		t.Fatalf("direct counter = %v, want 1", v)
 	}

@@ -38,9 +38,14 @@ func floats(z []complex128) []float64 {
 	return unsafe.Slice((*float64)(unsafe.Pointer(&z[0])), 2*len(z))
 }
 
-// ConvolveRealInto is ConvolveReal with a caller-owned scratch buffer. The
-// returned slice is owned by s and only valid until the next call with the
-// same Scratch. A nil Scratch allocates a fresh one.
+// ConvolveRealInto returns the full linear convolution of the real
+// sequences a and b: out[k] = sum_i a[i]*b[k-i], with len(out) =
+// len(a)+len(b)-1. Small inputs take the exact direct path; larger ones
+// pad the transform length to the next power of two, giving
+// O((n+m) log(n+m)) time. Either input being empty yields an empty result.
+// The returned slice is owned by the caller-owned scratch buffer s and only
+// valid until the next call with the same Scratch. A nil Scratch allocates
+// a fresh one.
 func ConvolveRealInto(a, b []float64, s *Scratch) []float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return nil

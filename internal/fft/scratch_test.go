@@ -8,8 +8,8 @@ import (
 
 // TestConvolveRealIntoBitIdentical drives ConvolveRealInto across both the
 // direct and FFT paths, reusing one Scratch between calls of different
-// sizes, and requires bitwise equality with ConvolveReal for every output
-// element. The solver's batch mode leans on exactly this guarantee to keep
+// sizes, and requires bitwise equality with a fresh Scratch for every
+// output element. The solver's batch mode leans on exactly this guarantee to keep
 // batched sweeps byte-identical to unbatched ones.
 func TestConvolveRealIntoBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -28,7 +28,7 @@ func TestConvolveRealIntoBitIdentical(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		want := ConvolveReal(a, b)
+		want := ConvolveRealInto(a, b, nil)
 		got := ConvolveRealInto(a, b, &s)
 		if len(got) != len(want) {
 			t.Fatalf("size %v: len %d, want %d", sz, len(got), len(want))
@@ -47,7 +47,7 @@ func TestConvolveRealIntoBitIdentical(t *testing.T) {
 func TestConvolveRealIntoNilScratch(t *testing.T) {
 	a := []float64{1, 2}
 	b := []float64{3, 4, 5}
-	want := ConvolveReal(a, b)
+	want := ConvolveRealNaive(a, b)
 	got := ConvolveRealInto(a, b, nil)
 	for i := range want {
 		if got[i] != want[i] {

@@ -3,10 +3,11 @@
 // writes every claim, renewal, release, and completion as a journal
 // record, *any* process that can read the journal can reconstruct who is
 // doing what — without talking to the workers. The Aggregator tails the
-// journal incrementally (journal.ReadFrom) and folds the records with the
-// same last-record-wins, epoch-fenced rules the lease store itself uses,
-// yielding per-worker cells claimed/completed/stolen, live lease
-// deadlines, straggler flags, and grid completion.
+// journal incrementally (journal.ReadFrom) and folds the records through
+// the same fencing fold the lease store itself reads (journal.Cells), so
+// both agree on which cells are done and who holds the rest. On top of
+// that fold it keeps only its view: per-worker cells claimed/completed/
+// stolen, live lease deadlines, straggler flags, and grid completion.
 //
 // It backs `GET /v1/status` (plus the SSE stream) on lrdserve and the
 // `lrdsweep -status` / lrdtop watch surfaces.
@@ -35,20 +36,6 @@ type Options struct {
 	Now func() time.Time
 }
 
-// claim is one live lease reconstructed from the journal.
-type claim struct {
-	worker   string
-	epoch    int64
-	deadline int64 // UnixNano
-}
-
-// cellState is the folded state of one journal key.
-type cellState struct {
-	done      bool
-	doneEpoch int64
-	claim     *claim
-}
-
 // workerAgg accumulates one worker's counters across the fold.
 type workerAgg struct {
 	claimed   int
@@ -72,7 +59,7 @@ type Aggregator struct {
 	crcBad  int
 	reopens int
 	fi      os.FileInfo // identity of the file the offset belongs to
-	cells   map[string]*cellState
+	cells   journal.Cells
 	workers map[string]*workerAgg
 }
 
@@ -85,7 +72,7 @@ func New(path string, opts Options) *Aggregator {
 	return &Aggregator{
 		path:    path,
 		opts:    opts,
-		cells:   map[string]*cellState{},
+		cells:   journal.Cells{},
 		workers: map[string]*workerAgg{},
 	}
 }
@@ -126,7 +113,7 @@ func (a *Aggregator) resetLocked() {
 	a.corrupt = 0
 	a.crcBad = 0
 	a.reopens++
-	a.cells = map[string]*cellState{}
+	a.cells = journal.Cells{}
 	a.workers = map[string]*workerAgg{}
 }
 
@@ -139,65 +126,30 @@ func (a *Aggregator) worker(name string) *workerAgg {
 	return w
 }
 
-func (a *Aggregator) cell(key string) *cellState {
-	c := a.cells[key]
-	if c == nil {
-		c = &cellState{}
-		a.cells[key] = c
-	}
-	return c
-}
-
-// fold applies one record with the lease store's conflict rules: ok
-// records with a current-or-newer epoch complete the cell and consume its
-// claim; claimed records with Deadline <= 0 release; a higher-epoch claim
-// supersedes (steals) a live one; a same-holder claim is a renewal.
+// fold applies one record to the shared fencing fold and turns what it
+// changed into per-worker counters. The view's own rules: a completion is
+// credited only to the record that completed an open cell, every fail
+// record counts as a failed attempt, and a claim record on a done cell
+// changes no counter.
 func (a *Aggregator) fold(rec journal.Record) {
-	c := a.cell(rec.Key)
-	switch rec.Status {
-	case journal.StatusOK:
-		if c.done && rec.Epoch < c.doneEpoch {
-			return // zombie completion, fenced off
-		}
-		if !c.done {
-			a.worker(rec.Worker).completed++
-		}
-		c.done, c.doneEpoch, c.claim = true, rec.Epoch, nil
-	case journal.StatusFail:
+	ch := a.cells.Apply(rec)
+	switch {
+	case ch == journal.ChangeCompleted:
+		a.worker(rec.Worker).completed++
+	case ch == journal.ChangeReopened || ch == journal.ChangeFailed:
 		a.worker(rec.Worker).failures++
-	case journal.StatusClaimed:
-		if c.done {
-			return // stale claim on a finished cell
-		}
-		if rec.Deadline <= 0 {
-			// Release: only the current holder's release clears the claim.
-			if c.claim != nil && c.claim.worker == rec.Worker && c.claim.epoch == rec.Epoch {
-				c.claim = nil
-				a.worker(rec.Worker).released++
-			}
-			return
-		}
-		switch {
-		case c.claim == nil:
-			a.worker(rec.Worker).claimed++
-			c.claim = &claim{worker: rec.Worker, epoch: rec.Epoch, deadline: rec.Deadline}
-		case c.claim.worker == rec.Worker && c.claim.epoch == rec.Epoch:
-			// Heartbeat renewal: deadlines only ever extend.
-			if rec.Deadline > c.claim.deadline {
-				c.claim.deadline = rec.Deadline
-			}
-			a.worker(rec.Worker).renewed++
-		case rec.Epoch > c.claim.epoch:
-			// A newer fencing epoch supersedes the live claim — a steal when
-			// the previous holder was someone else (it let the lease expire).
-			if c.claim.worker != rec.Worker {
-				a.worker(rec.Worker).stolen++
-			}
-			a.worker(rec.Worker).claimed++
-			c.claim = &claim{worker: rec.Worker, epoch: rec.Epoch, deadline: rec.Deadline}
-		}
-		// An equal-or-older epoch from another worker lost the claim race;
-		// the file-order winner already holds the cell.
+	case a.cells[rec.Key].Done():
+		// A claim record on a done cell: no counter moves.
+	case ch == journal.ChangeClaimed:
+		a.worker(rec.Worker).claimed++
+	case ch == journal.ChangeStolen:
+		w := a.worker(rec.Worker)
+		w.claimed++
+		w.stolen++
+	case ch == journal.ChangeRenewed:
+		a.worker(rec.Worker).renewed++
+	case ch == journal.ChangeReleased:
+		a.worker(rec.Worker).released++
 	}
 }
 
@@ -206,7 +158,8 @@ type WorkerStatus struct {
 	Worker string `json:"worker"`
 	// Claimed counts leases this worker took (first claims and steals).
 	Claimed int `json:"cells_claimed"`
-	// Completed counts cells whose first completion this worker wrote.
+	// Completed counts the completions this worker wrote that completed an
+	// open cell; one landing on a cell already done earns none.
 	Completed int `json:"cells_completed"`
 	// Stolen counts expired leases this worker took over from a peer.
 	Stolen int `json:"leases_stolen"`
@@ -271,21 +224,21 @@ func (a *Aggregator) Status() (Status, error) {
 	}
 	live := map[string]*liveAgg{}
 	for _, c := range a.cells {
-		if c.done {
+		if c.Done() {
 			s.CellsDone++
 			continue
 		}
-		if c.claim == nil {
+		if c.Claim == nil {
 			continue
 		}
 		s.CellsInFlight++
-		la := live[c.claim.worker]
+		la := live[c.Claim.Worker]
 		if la == nil {
 			la = &liveAgg{minRemain: math.Inf(1)}
-			live[c.claim.worker] = la
+			live[c.Claim.Worker] = la
 		}
 		la.live++
-		remain := time.Duration(c.claim.deadline - now.UnixNano()).Seconds()
+		remain := time.Duration(c.Claim.Deadline - now.UnixNano()).Seconds()
 		if remain < la.minRemain {
 			la.minRemain = remain
 		}

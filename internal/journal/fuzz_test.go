@@ -2,8 +2,12 @@ package journal
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -77,6 +81,129 @@ func FuzzJournalLoad(f *testing.F) {
 		recs3, _, err := Load(path)
 		if err != nil || len(recs3) != len(recs)+1 {
 			t.Fatalf("after recovery append: %d records (err %v), want %d", len(recs3), err, len(recs)+1)
+		}
+	})
+}
+
+// foldOp is one record of a FuzzJournalFold sequence, by index: key and
+// worker into the sequence's names, status into ok/fail/claimed, epoch
+// 0–3, and deadline into released/past/future.
+type foldOp struct{ key, worker, status, epoch, deadline int }
+
+var (
+	foldStatuses  = []Status{StatusOK, StatusFail, StatusClaimed}
+	foldDeadlines = []int64{0, 1_000, 2_000} // released, past, future
+)
+
+// encodeFold is decodeFold's inverse: a header byte choosing 2–3 keys and
+// 2–3 workers, then two bytes per record.
+func encodeFold(keys, workers int, ops ...foldOp) []byte {
+	b := []byte{byte(keys-2) | byte(workers-2)<<1}
+	for _, op := range ops {
+		b = append(b, byte(op.key+3*op.worker+9*op.status), byte(op.epoch+4*op.deadline))
+	}
+	return b
+}
+
+// decodeFold turns fuzz bytes into a short record sequence. Every ok
+// record carries a distinct value, so a wrong winner cannot hide.
+func decodeFold(data []byte) []Record {
+	if len(data) == 0 {
+		return nil
+	}
+	keys, workers := 2+int(data[0]&1), 2+int(data[0]>>1&1)
+	var recs []Record
+	for i := 1; i+1 < len(data) && len(recs) < 32; i += 2 {
+		b0, b1 := int(data[i]), int(data[i+1])
+		rec := Record{
+			Key:    fmt.Sprintf("k%d", b0%3%keys),
+			Worker: fmt.Sprintf("w%d", b0/3%3%workers),
+			Status: foldStatuses[b0/9%3],
+			Epoch:  int64(b1 % 4),
+		}
+		switch rec.Status {
+		case StatusOK:
+			rec.Value = json.RawMessage(fmt.Sprint(len(recs)))
+		case StatusClaimed:
+			rec.Deadline = foldDeadlines[b1/4%3]
+		}
+		recs = append(recs, rec)
+	}
+	return recs
+}
+
+// FuzzJournalFold checks that every reader of the fencing fold agrees:
+// Completed equals the done values of the record-by-record fold, and
+// compaction keeps both the completed values and, for every cell still
+// open, its claim — so a compacted journal resumes and leases exactly as
+// the full one would. Each Apply's reported change must also match what it
+// did to the cell, since the fleet view counts by it.
+func FuzzJournalFold(f *testing.F) {
+	const ok, fail, claimed = 0, 1, 2
+	const released, past, future = 0, 1, 2
+	// The TestCompletedEpochFencing cases.
+	f.Add(encodeFold(2, 2, foldOp{0, 0, ok, 1, 0}, foldOp{0, 1, ok, 3, 0}, foldOp{0, 0, ok, 2, 0}))
+	f.Add(encodeFold(2, 2, foldOp{0, 0, ok, 2, 0}, foldOp{0, 0, ok, 2, 0}))
+	f.Add(encodeFold(2, 2, foldOp{0, 0, ok, 3, 0}, foldOp{0, 0, fail, 2, 0}, foldOp{0, 0, fail, 3, 0}))
+	f.Add(encodeFold(2, 2, foldOp{0, 0, claimed, 3, past}))
+	// A zombie completion, then a fail at the live holder's epoch.
+	f.Add(encodeFold(3, 3, foldOp{0, 0, claimed, 1, past}, foldOp{0, 1, claimed, 2, future},
+		foldOp{0, 0, ok, 1, 0}, foldOp{0, 1, fail, 2, 0}, foldOp{1, 2, claimed, 1, released}))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs := decodeFold(data)
+		cells := map[string]*Cell{}
+		for _, rec := range recs {
+			c := cells[rec.Key]
+			if c == nil {
+				c = &Cell{}
+				cells[rec.Key] = c
+			}
+			before := *c
+			ch := c.Apply(rec)
+			kept := c.Winner == before.Winner && c.Claim == before.Claim
+			switch {
+			case (ch == ChangeNone || ch == ChangeFenced || ch == ChangeFailed) && !kept,
+				ch == ChangeCompleted && (before.Done() || !c.Done()),
+				ch == ChangeReplaced && !before.Done(),
+				ch == ChangeReopened && (!before.Done() || c.Done()):
+				t.Fatalf("%+v reported change %d: cell %+v -> %+v", rec, ch, before, *c)
+			}
+		}
+		done := Completed(recs)
+		for key, c := range cells {
+			v, ok := done[key]
+			if ok != c.Done() || ok && !bytes.Equal(v, c.Winner.Value) {
+				t.Fatalf("Completed[%s] = %s (%t), fold winner %+v", key, v, ok, c.Winner)
+			}
+		}
+		if len(done) > len(cells) {
+			t.Fatalf("Completed has %d keys, the fold %d", len(done), len(cells))
+		}
+
+		compacted := compactRecords(recs)
+		if got := Completed(compacted); !maps.EqualFunc(got, done, func(a, b json.RawMessage) bool { return bytes.Equal(a, b) }) {
+			t.Fatalf("Completed after compaction = %v, want %v", got, done)
+		}
+		refold := Cells{}
+		for _, rec := range compacted {
+			refold.Apply(rec)
+		}
+		for key, c := range cells {
+			if c.Done() {
+				continue
+			}
+			want, got := c.Claim, (*Record)(nil)
+			if r := refold[key]; r != nil {
+				got = r.Claim
+			}
+			if (want == nil) != (got == nil) || want != nil &&
+				(want.Worker != got.Worker || want.Epoch != got.Epoch || want.Deadline != got.Deadline) {
+				t.Fatalf("open cell %s: claim %+v, after compaction %+v", key, want, got)
+			}
+		}
+		if again := compactRecords(compacted); !reflect.DeepEqual(again, compacted) {
+			t.Fatalf("compaction is not a fixed point:\n%+v\n%+v", compacted, again)
 		}
 	})
 }

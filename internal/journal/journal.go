@@ -17,10 +17,12 @@
 // The journal doubles as a coordinator-free shared work queue: several
 // worker processes may hold the same journal open (O_APPEND writes of one
 // line each interleave but never tear on POSIX filesystems) and publish
-// lease claims as StatusClaimed records. The claim/renew/steal policy
-// lives in internal/core.LeaseStore; this package only defines the record
-// shape and the incremental ReadFrom tail reader the workers follow each
-// other with.
+// lease claims as StatusClaimed records. The fencing fold that turns a
+// key's records into its state — done, claimed, or free — lives here
+// (Cell.Apply), and every reader goes through it: Completed, Compact,
+// internal/core.LeaseStore, and internal/fleetstatus. The lease store only
+// decides when to append a claim, renewal, release, or completion; the
+// incremental ReadFrom tail reader is how the workers follow each other.
 //
 // The package also provides WriteFileAtomic, the write-temp-then-rename
 // helper the CLIs use so a result table on disk is always either the old
@@ -484,40 +486,6 @@ func ReadFrom(path string, offset int64) (records []Record, stats TailStats, nex
 		records = append(records, rec)
 	}
 	return records, stats, next, nil
-}
-
-// Completed folds records into the per-key outcome a resumed sweep should
-// trust: the value of each key's winning ok record. Conflicts resolve by
-// fencing epoch first — the record written under the highest lease epoch
-// wins regardless of file order, so a zombie worker that appends a stale
-// completion after its lease was stolen can never overwrite the newer
-// holder's result — and by file order (last wins) within an epoch. A fail
-// record at the key's winning epoch or later (defensive — the
-// orchestration layer never re-runs an ok cell) invalidates the cached
-// value. Claimed records are coordination, not outcomes, and are ignored.
-func Completed(records []Record) map[string]json.RawMessage {
-	type winner struct {
-		value json.RawMessage
-		epoch int64
-	}
-	won := make(map[string]winner)
-	for _, rec := range records {
-		switch rec.Status {
-		case StatusOK:
-			if w, ok := won[rec.Key]; !ok || rec.Epoch >= w.epoch {
-				won[rec.Key] = winner{value: rec.Value, epoch: rec.Epoch}
-			}
-		case StatusFail:
-			if w, ok := won[rec.Key]; ok && rec.Epoch >= w.epoch {
-				delete(won, rec.Key)
-			}
-		}
-	}
-	done := make(map[string]json.RawMessage, len(won))
-	for k, w := range won {
-		done[k] = w.value
-	}
-	return done
 }
 
 // WriteFileAtomic writes the output of write to path atomically: the

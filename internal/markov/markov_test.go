@@ -157,3 +157,6 @@ func (fakeLaw) Mean() float64                  { return 1 }
 func (fakeLaw) Upper() float64                 { return math.Inf(1) }
 func (fakeLaw) Validate() error                { return nil }
 func (fakeLaw) Sample(*rand.Rand) float64      { return 1 }
+
+func (l fakeLaw) CCDFBoth(t float64) (float64, float64)   { return l.CCDF(t), l.CCDFAtLeast(t) }
+func (l fakeLaw) IntegralCCDFFunc() func(float64) float64 { return l.IntegralCCDF }

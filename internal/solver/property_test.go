@@ -173,7 +173,7 @@ func TestPropertyWorkCDFIsDistribution(t *testing.T) {
 		span := (q.Source.Marginal.Max() + q.ServiceRate) * math.Min(q.Source.Interarrival.Cutoff, 1e6)
 		prev := -1.0
 		for _, x := range numerics.Linspace(-span-1, span+1, 101) {
-			v := it.workCDF(x, false)
+			_, v := it.workCDFBoth(x)
 			if v < prev-1e-12 || v < 0 || v > 1 {
 				return false
 			}
@@ -181,7 +181,9 @@ func TestPropertyWorkCDFIsDistribution(t *testing.T) {
 		}
 		// The mixture sums renormalized probabilities, so the limits are
 		// exact only to within an ulp of the mass normalization.
-		return it.workCDF(span+2, false) > 1-1e-9 && it.workCDF(-span-2, false) < 1e-12
+		_, hi := it.workCDFBoth(span + 2)
+		_, lo := it.workCDFBoth(-span - 2)
+		return hi > 1-1e-9 && lo < 1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -844,7 +844,6 @@ func (it *Iterator) cdfTables(m int, prevCl, prevCc []float64) (cl, cc []float64
 	cl = it.scratch.getFloat(2*m + 2)
 	cc = it.scratch.getFloat(2*m + 2)
 	reuse := len(prevCl) == m+2 && len(prevCc) == m+2
-	both, fused := it.model.Interarrival.(ccdfBoth)
 	for i := -m; i <= m+1; i++ {
 		idx := i + m
 		if reuse && idx%2 == 0 {
@@ -852,24 +851,9 @@ func (it *Iterator) cdfTables(m int, prevCl, prevCc []float64) (cl, cc []float64
 			cc[idx] = prevCc[idx/2]
 			continue
 		}
-		x := float64(i) * d
-		if fused {
-			cl[idx], cc[idx] = it.workCDFBoth(x, both)
-		} else {
-			cl[idx] = it.workCDF(x, true)
-			cc[idx] = it.workCDF(x, false)
-		}
+		cl[idx], cc[idx] = it.workCDFBoth(float64(i) * d)
 	}
 	return cl, cc
-}
-
-// ccdfBoth is the optional law contract behind the fused cdf tabulation:
-// one call yields Pr{T > t} and Pr{T >= t}, each bitwise equal to the
-// separate CCDF / CCDFAtLeast evaluations, at roughly half the cost (the
-// components share their power-law or exponential-sum evaluation except at
-// atoms). Both built-in laws implement it.
-type ccdfBoth interface {
-	CCDFBoth(t float64) (gt, ge float64)
 }
 
 func clampNonneg(xs []float64) {
@@ -880,12 +864,14 @@ func clampNonneg(xs []float64) {
 	}
 }
 
-// workCDFBoth evaluates Pr{W < x} and Pr{W <= x} in one pass over the
-// marginal, using the law's fused CCDFBoth. Each accumulator receives, in
-// the same order, bitwise the same contributions the two separate workCDF
-// passes would add, so the results are bit-identical to the unfused path —
-// at half the law-evaluation cost, which dominates grid (re)construction.
-func (it *Iterator) workCDFBoth(x float64, p ccdfBoth) (strict, nonstrict float64) {
+// workCDFBoth evaluates the mixture distribution of the per-epoch work
+// increment W = T·(λ−c) (Eq. 10) at x: Pr{W < x} and Pr{W <= x}, in one
+// pass over the marginal using the law's fused CCDFBoth (half the law
+// evaluations, which dominate grid (re)construction). The interarrival law
+// T has a continuous part and may have atoms (the truncated Pareto's at
+// Tc), which W inherits at (λ_i−c)·Tc.
+func (it *Iterator) workCDFBoth(x float64) (strict, nonstrict float64) {
+	p := it.model.Interarrival
 	c := it.model.ServiceRate
 	marg := it.model.Marginal
 	var accS, accN numerics.Accumulator
@@ -924,55 +910,6 @@ func (it *Iterator) workCDFBoth(x float64, p ccdfBoth) (strict, nonstrict float6
 	return numerics.Clamp(accS.Sum(), 0, 1), numerics.Clamp(accN.Sum(), 0, 1)
 }
 
-// workCDF evaluates the mixture distribution of the per-epoch work
-// increment W = T·(λ−c) (Eq. 10): Pr{W < x} when strict, else Pr{W <= x}.
-// The interarrival law T has a continuous Pareto part on (0, Tc) and an
-// atom at Tc, so W inherits atoms at (λ_i−c)·Tc.
-func (it *Iterator) workCDF(x float64, strict bool) float64 {
-	p := it.model.Interarrival
-	c := it.model.ServiceRate
-	marg := it.model.Marginal
-	var acc numerics.Accumulator
-	for i := 0; i < marg.Len(); i++ {
-		lam := marg.Rate(i)
-		pi := marg.Prob(i)
-		drift := lam - c
-		switch {
-		case drift == 0:
-			// W_i ≡ 0.
-			if x > 0 || (!strict && x == 0) {
-				acc.Add(pi)
-			}
-		case drift > 0:
-			// W_i = T·drift > 0 a.s.
-			if x <= 0 {
-				continue
-			}
-			t := x / drift
-			// Pr{W_i < x} = Pr{T < t} = 1 − Pr{T >= t};
-			// Pr{W_i <= x} = Pr{T <= t} = 1 − Pr{T > t}.
-			if strict {
-				acc.Add(pi * (1 - p.CCDFAtLeast(t)))
-			} else {
-				acc.Add(pi * (1 - p.CCDF(t)))
-			}
-		default: // drift < 0: W_i < 0 a.s.
-			if x >= 0 {
-				acc.Add(pi)
-				continue
-			}
-			t := x / drift // positive; W_i <= x ⇔ T >= t
-			if strict {
-				// Pr{W_i < x} = Pr{T > t}.
-				acc.Add(pi * p.CCDF(t))
-			} else {
-				acc.Add(pi * p.CCDFAtLeast(t))
-			}
-		}
-	}
-	return numerics.Clamp(acc.Sum(), 0, 1)
-}
-
 // lossTable precomputes E[W_l | Q = j·d] for j = 0..M using the closed form
 // derived in the paper (§II), generalized to any interarrival law:
 //
@@ -987,12 +924,9 @@ func (it *Iterator) lossTable(m int, prev []float64) []float64 {
 	out := it.scratch.getFloat(m + 1)
 	d := it.model.Buffer / float64(m)
 	reuse := m%2 == 0 && len(prev) == m/2+1
-	integral := it.model.Interarrival.IntegralCCDF
-	if c, ok := it.model.Interarrival.(integralCCDFCurried); ok {
-		// Hoist the law constants (cutoff tail pow, scale) out of the
-		// m+1-point tabulation; the curried form is bitwise equal.
-		integral = c.IntegralCCDFFunc()
-	}
+	// The curried integral hoists the law constants (cutoff tail pow,
+	// scale) out of the m+1-point tabulation.
+	integral := it.model.Interarrival.IntegralCCDFFunc()
 	for j := 0; j <= m; j++ {
 		if reuse && j%2 == 0 {
 			out[j] = prev[j/2]
@@ -1003,18 +937,10 @@ func (it *Iterator) lossTable(m int, prev []float64) []float64 {
 	return out
 }
 
-// integralCCDFCurried is the optional law contract behind the hoisted loss
-// tabulation: IntegralCCDFFunc returns IntegralCCDF with per-law constants
-// precomputed, bitwise equal at every point. Both built-in laws implement
-// it.
-type integralCCDFCurried interface {
-	IntegralCCDFFunc() func(a float64) float64
-}
-
 // ExpectedLossGivenOccupancy returns E[W_l | Q = x], the expected work lost
 // in one interarrival interval starting from occupancy x.
 func (it *Iterator) ExpectedLossGivenOccupancy(x float64) float64 {
-	return it.expectedLossGiven(x, it.model.Interarrival.IntegralCCDF)
+	return it.expectedLossGiven(x, it.model.Interarrival.IntegralCCDFFunc())
 }
 
 func (it *Iterator) expectedLossGiven(x float64, integral func(a float64) float64) float64 {

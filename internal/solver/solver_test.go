@@ -134,25 +134,25 @@ func TestWorkCDFMonotoneAndBounds(t *testing.T) {
 	xs := numerics.Linspace(-q.Buffer*2, q.Buffer*2, 401)
 	prev := -1.0
 	for _, x := range xs {
-		v := it.workCDF(x, false)
+		strict, v := it.workCDFBoth(x)
 		if v < prev-1e-12 {
-			t.Fatalf("workCDF not monotone at %v", x)
+			t.Fatalf("work cdf not monotone at %v", x)
 		}
 		if v < 0 || v > 1 {
-			t.Fatalf("workCDF out of range: %v", v)
+			t.Fatalf("work cdf out of range: %v", v)
 		}
-		if s := it.workCDF(x, true); s > v+1e-12 {
+		if strict > v+1e-12 {
 			t.Fatalf("strict CDF exceeds CDF at %v", x)
 		}
 		prev = v
 	}
 	// Far tails.
 	maxW := (q.Source.Marginal.Max() - q.ServiceRate) * q.Source.Interarrival.Cutoff
-	if got := it.workCDF(maxW+1, false); got != 1 {
+	if _, got := it.workCDFBoth(maxW + 1); got != 1 {
 		t.Fatalf("CDF beyond max W = %v, want 1", got)
 	}
 	minW := (q.Source.Marginal.Min() - q.ServiceRate) * q.Source.Interarrival.Cutoff
-	if got := it.workCDF(minW-1, false); got != 0 {
+	if _, got := it.workCDFBoth(minW - 1); got != 0 {
 		t.Fatalf("CDF below min W = %v, want 0", got)
 	}
 }
@@ -172,7 +172,8 @@ func TestExpectedLossGivenOccupancyMatchesQuadrature(t *testing.T) {
 	for _, frac := range []float64{0, 0.25, 0.5, 0.9, 1} {
 		x := frac * q.Buffer
 		want := numerics.Trapezoid(func(y float64) float64 {
-			return 1 - it.workCDF(y+q.Buffer-x, false)
+			_, v := it.workCDFBoth(y + q.Buffer - x)
+			return 1 - v
 		}, 0, maxW, 400000)
 		got := it.ExpectedLossGivenOccupancy(x)
 		if !numerics.AlmostEqual(got, want, 1e-3) {
