@@ -154,14 +154,19 @@ func BenchmarkBatchSweep(b *testing.B) { benchDenseSweep(b, "BatchSweep", true) 
 
 // --- component micro-benchmarks ---
 
-func benchQueue(b *testing.B, cutoff float64) lrd.Queue {
+func benchSource(b *testing.B, cutoff float64) lrd.Source {
 	b.Helper()
 	m := lrd.MustMarginal([]float64{0, 2}, []float64{0.5, 0.5})
 	src, err := lrd.NewSource(m, lrd.TruncatedPareto{Theta: 0.05, Alpha: 1.4, Cutoff: cutoff})
 	if err != nil {
 		b.Fatal(err)
 	}
-	q, err := lrd.NewQueueNormalized(src, 0.8, 0.3)
+	return src
+}
+
+func benchQueue(b *testing.B, cutoff float64) lrd.Model {
+	b.Helper()
+	q, err := lrd.NewModelNormalized(lrd.NewFluidSource(benchSource(b, cutoff)), 0.8, 0.3)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -323,11 +328,12 @@ func BenchmarkSolverStep(b *testing.B) {
 // BenchmarkMonteCarloMillion measures the simulation path the solver is
 // validated against: one million renewal epochs.
 func BenchmarkMonteCarloMillion(b *testing.B) {
+	src := benchSource(b, 2)
 	q := benchQueue(b, 2)
 	rng := rand.New(rand.NewSource(1))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := lrd.MonteCarloLoss(q.Source, q.ServiceRate, q.Buffer, 1_000_000, 0, rng); err != nil {
+		if _, err := lrd.MonteCarloLoss(src, q.ServiceRate, q.Buffer, 1_000_000, 0, rng); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -82,6 +82,10 @@ func main() {
 	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// acceptSettle is how long the listener stays open after it stops taking
+// new handshakes, so connections already past the SYN reach accept.
+const acceptSettle = 100 * time.Millisecond
+
 // run is the testable body of main: it parses args with its own FlagSet,
 // serves until ctx is canceled (main wires SIGINT/SIGTERM), and returns the
 // exit code instead of calling os.Exit — so deferred cleanup (the -metrics
@@ -211,6 +215,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	logger.Info("draining: /readyz now 503", "grace", drainGrace.String())
 	if *drainGrace > 0 {
 		time.Sleep(*drainGrace)
+	}
+	// Closing a listening socket resets every connection still queued in
+	// the kernel for accept. So refuse new handshakes first and give those
+	// already under way acceptSettle to be accepted and served; a client
+	// dialing after that sees connection refused, never a reset.
+	if refuseNewConnections(ln) == nil {
+		time.Sleep(acceptSettle)
 	}
 	logger.Info("shutting down; draining in-flight solves")
 	drainCtx, drainCancel := context.WithTimeout(context.Background(), *drain)

@@ -198,7 +198,9 @@ func TestRunInterruptAndResume(t *testing.T) {
 // TestGoldenFluidBitIdentity pins the refactor's core compatibility
 // guarantee: the default model — and the explicit -model=fluid — reproduce
 // the pre-registry sweep output byte for byte against goldens captured
-// before the source abstraction was introduced.
+// before the source abstraction was introduced. The fig2, markov, eq26 and
+// delay goldens were captured before those experiments moved from the
+// fluid-only queue API to solver.Model.
 func TestGoldenFluidBitIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real (quick) sweeps")
@@ -210,6 +212,10 @@ func TestGoldenFluidBitIdentity(t *testing.T) {
 		{"golden-fig4-quick-seed3.tsv", []string{"-exp", "fig4", "-quick", "-seed", "3"}},
 		{"golden-fig9-quick-seed2.tsv", []string{"-exp", "fig9", "-quick", "-seed", "2"}},
 		{"golden-fig10-quick-seed1.tsv", []string{"-exp", "fig10", "-quick", "-seed", "1"}},
+		{"golden-fig2-quick-seed3.tsv", []string{"-exp", "fig2", "-quick", "-seed", "3"}},
+		{"golden-markov-quick-seed3.tsv", []string{"-exp", "markov", "-quick", "-seed", "3"}},
+		{"golden-eq26-quick-seed3.tsv", []string{"-exp", "eq26", "-quick", "-seed", "3"}},
+		{"golden-delay-quick-seed3.tsv", []string{"-exp", "delay", "-quick", "-seed", "3"}},
 	}
 	for _, c := range cases {
 		want, err := os.ReadFile(filepath.Join("testdata", c.golden))

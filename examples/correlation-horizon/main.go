@@ -42,11 +42,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		q, err := lrd.NewQueueNormalized(src, util, b)
+		m, err := lrd.NewModelNormalized(lrd.NewFluidSource(src), util, b)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := lrd.Solve(q, cfg)
+		res, err := lrd.Solve(m, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -72,11 +72,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		q, err := lrd.NewQueueNormalized(src, util, b)
+		m, err := lrd.NewModelNormalized(lrd.NewFluidSource(src), util, b)
 		if err != nil {
 			log.Fatal(err)
 		}
-		analytic, err := lrd.CorrelationHorizon(q.Model(), 0.05)
+		analytic, err := lrd.CorrelationHorizon(m, 0.05)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -64,11 +64,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		q, err := lrd.NewQueueNormalized(src, util, b)
+		m, err := lrd.NewModelNormalized(lrd.NewFluidSource(src), util, b)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := lrd.Solve(q, lrd.SolverConfig{})
+		res, err := lrd.Solve(m, lrd.SolverConfig{})
 		if err != nil {
 			log.Fatal(err)
 		}

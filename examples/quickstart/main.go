@@ -37,11 +37,11 @@ func main() {
 			log.Fatal(err)
 		}
 		// 80 % utilization and half a second of buffering.
-		q, err := lrd.NewQueueNormalized(src, 0.8, 0.5)
+		m, err := lrd.NewModelNormalized(lrd.NewFluidSource(src), 0.8, 0.5)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := lrd.Solve(q, lrd.SolverConfig{})
+		res, err := lrd.Solve(m, lrd.SolverConfig{})
 		if err != nil {
 			log.Fatal(err)
 		}

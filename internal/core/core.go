@@ -389,7 +389,11 @@ func solveCell(ctx context.Context, src source.Source, util, nbuf float64, cfg s
 	if err != nil {
 		return Point{}, nil, err
 	}
-	res, err := solver.SolveModelSeeded(ctx, m, cfg, seed)
+	it, err := solver.NewModelIteratorSeeded(m, cfg, seed)
+	if err != nil {
+		return Point{}, nil, err
+	}
+	res, err := it.RunContext(ctx)
 	if err != nil {
 		return Point{}, nil, err
 	}
@@ -639,11 +643,11 @@ func BoundConvergence(tm TraceModel, util, nbuf float64, bins int, iterations []
 	if err != nil {
 		return nil, err
 	}
-	q, err := solver.NewQueueNormalized(src, util, nbuf)
+	q, err := solver.NewModelNormalized(source.NewFluid(src), util, nbuf)
 	if err != nil {
 		return nil, err
 	}
-	it, err := solver.NewIterator(q, solver.Config{InitialBins: bins, MaxBins: bins})
+	it, err := solver.NewModelIterator(q, solver.Config{InitialBins: bins, MaxBins: bins})
 	if err != nil {
 		return nil, err
 	}

@@ -551,11 +551,11 @@ func runMarkov(ctx context.Context, o RunOptions) (Table, error) {
 		if err := ctx.Err(); err != nil {
 			return t, err // completed rows survive the interruption
 		}
-		q, err := solver.NewQueueNormalized(src, 0.8, b)
+		q, err := solver.NewModelNormalized(source.NewFluid(src), 0.8, b)
 		if err != nil {
 			return Table{}, err
 		}
-		orig, err := solver.SolveContext(ctx, q, o.solverConfig())
+		orig, err := solver.SolveModelContext(ctx, q, o.solverConfig())
 		if err != nil {
 			return Table{}, err
 		}
@@ -621,11 +621,11 @@ func runEq26(ctx context.Context, o RunOptions) (Table, error) {
 		if err := ctx.Err(); err != nil {
 			return t, err
 		}
-		q, err := solver.NewQueueNormalized(src, 0.8, b)
+		q, err := solver.NewModelNormalized(source.NewFluid(src), 0.8, b)
 		if err != nil {
 			return Table{}, err
 		}
-		ch, err := horizon.Analytic(q.Model(), 0.05)
+		ch, err := horizon.Analytic(q, 0.05)
 		if err != nil {
 			return Table{}, err
 		}
@@ -735,11 +735,11 @@ func runDelay(ctx context.Context, o RunOptions) (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		q, err := solver.NewQueueNormalized(src, 0.8, 1.0)
+		q, err := solver.NewModelNormalized(source.NewFluid(src), 0.8, 1.0)
 		if err != nil {
 			return Table{}, err
 		}
-		res, err := solver.SolveContext(ctx, q, o.solverConfig())
+		res, err := solver.SolveModelContext(ctx, q, o.solverConfig())
 		if err != nil {
 			return Table{}, err
 		}

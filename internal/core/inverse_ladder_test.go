@@ -19,8 +19,15 @@ import (
 // iterate at a quarter of the gap, down to probeGapFloor or until the
 // bracket stops shrinking. Each re-solve counts against the budget.
 func (p *prober) ladder(ctx context.Context, m solver.Model, seed *solver.Seed) (solver.Result, error) {
+	solve := func(cfg solver.Config, seed *solver.Seed) (solver.Result, error) {
+		it, err := solver.NewModelIteratorSeeded(m, cfg, seed)
+		if err != nil {
+			return solver.Result{}, err
+		}
+		return it.RunContext(ctx)
+	}
 	cfg := p.cfg
-	res, err := solver.SolveModelSeeded(ctx, m, cfg, seed)
+	res, err := solve(cfg, seed)
 	if err != nil {
 		return solver.Result{}, err
 	}
@@ -42,7 +49,7 @@ func (p *prober) ladder(ctx context.Context, m solver.Model, seed *solver.Seed) 
 		p.solves++
 		p.warm++
 		width := res.Upper - res.Lower
-		res, err = solver.SolveModelSeeded(ctx, m, cfg, solver.SeedFromResult(m, res))
+		res, err = solve(cfg, solver.SeedFromResult(m, res))
 		if err != nil {
 			return solver.Result{}, err
 		}

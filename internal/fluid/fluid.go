@@ -94,15 +94,6 @@ func (s Source) Autocorrelation(t float64) float64 {
 	return s.Interarrival.ResidualCCDF(t)
 }
 
-// ServiceRateForUtilization returns the service rate c that loads a queue
-// fed by s to the given utilization ρ = λ̄/c.
-func (s Source) ServiceRateForUtilization(rho float64) (float64, error) {
-	if !(rho > 0 && rho < 1) {
-		return 0, fmt.Errorf("fluid: utilization %v outside (0, 1)", rho)
-	}
-	return s.MeanRate() / rho, nil
-}
-
 // Epoch is one piecewise-constant segment of a sample path.
 type Epoch struct {
 	Duration float64 // segment length T_n (seconds)

@@ -144,22 +144,6 @@ func TestAsymptoticSelfSimilarDecay(t *testing.T) {
 	}
 }
 
-func TestServiceRateForUtilization(t *testing.T) {
-	s := testSource(t)
-	c, err := s.ServiceRateForUtilization(0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !numerics.AlmostEqual(s.MeanRate()/c, 0.8, 1e-12) {
-		t.Fatalf("utilization = %v", s.MeanRate()/c)
-	}
-	for _, rho := range []float64{0, 1, -0.5, 2} {
-		if _, err := s.ServiceRateForUtilization(rho); err == nil {
-			t.Errorf("rho=%v accepted", rho)
-		}
-	}
-}
-
 func TestGenerateEpochs(t *testing.T) {
 	s := testSource(t)
 	rng := rand.New(rand.NewSource(4))

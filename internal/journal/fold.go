@@ -7,8 +7,9 @@ type Change uint8
 
 const (
 	// ChangeNone: the record altered nothing the fold tracks — a claim
-	// that lost the race at an equal or older epoch, or a release from
-	// someone other than the holder.
+	// that lost the race at an equal or older epoch, a stale claim below
+	// the cell's highest epoch (such as a late renewal of a lost lease),
+	// or a release from someone other than the holder.
 	ChangeNone Change = iota
 	// ChangeCompleted: an ok record completed an open cell.
 	ChangeCompleted
@@ -69,10 +70,14 @@ func (c *Cell) HeldBy(worker string, epoch int64) bool {
 //   - a claim with Deadline ≤ 0 releases the claim only when it comes from
 //     the holder at the claim's own epoch;
 //   - any other claim from the holder at the claim's epoch is a renewal,
-//     which only ever extends the deadline; otherwise it takes an
-//     unclaimed cell or supersedes a claim at a lower epoch, and loses to
-//     a claim at an equal or higher epoch.
+//     which only ever extends the deadline;
+//   - a claim below the highest epoch seen so far is stale — for example
+//     a renewal appended after its lease was stolen and released — and
+//     neither takes nor supersedes a claim;
+//   - otherwise a claim takes an unclaimed cell or supersedes a claim at a
+//     lower epoch, and loses to a claim at an equal or higher epoch.
 func (c *Cell) Apply(rec Record) Change {
+	prior := c.Epoch
 	if rec.Epoch > c.Epoch {
 		c.Epoch = rec.Epoch
 	}
@@ -109,6 +114,9 @@ func (c *Cell) Apply(rec Record) Change {
 				c.Claim = &rec
 			}
 			return ChangeRenewed
+		case rec.Epoch < prior:
+			// Stale: taking the cell here would hand it back below the
+			// fencing floor a newer lease already set.
 		case c.Claim == nil:
 			c.Claim = &rec
 			return ChangeClaimed

@@ -137,7 +137,8 @@ func decodeFold(data []byte) []Record {
 // compaction keeps both the completed values and, for every cell still
 // open, its claim — so a compacted journal resumes and leases exactly as
 // the full one would. Each Apply's reported change must also match what it
-// did to the cell, since the fleet view counts by it.
+// did to the cell, since the fleet view counts by it, and a claim Apply
+// accepts never carries an epoch below the cell's prior highest.
 func FuzzJournalFold(f *testing.F) {
 	const ok, fail, claimed = 0, 1, 2
 	const released, past, future = 0, 1, 2
@@ -149,6 +150,9 @@ func FuzzJournalFold(f *testing.F) {
 	// A zombie completion, then a fail at the live holder's epoch.
 	f.Add(encodeFold(3, 3, foldOp{0, 0, claimed, 1, past}, foldOp{0, 1, claimed, 2, future},
 		foldOp{0, 0, ok, 1, 0}, foldOp{0, 1, fail, 2, 0}, foldOp{1, 2, claimed, 1, released}))
+	// A steal and release, then the robbed holder's late renewal.
+	f.Add(encodeFold(2, 2, foldOp{0, 0, claimed, 1, future}, foldOp{0, 1, claimed, 2, future},
+		foldOp{0, 1, claimed, 2, released}, foldOp{0, 0, claimed, 1, future}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs := decodeFold(data)
@@ -166,7 +170,8 @@ func FuzzJournalFold(f *testing.F) {
 			case (ch == ChangeNone || ch == ChangeFenced || ch == ChangeFailed) && !kept,
 				ch == ChangeCompleted && (before.Done() || !c.Done()),
 				ch == ChangeReplaced && !before.Done(),
-				ch == ChangeReopened && (!before.Done() || c.Done()):
+				ch == ChangeReopened && (!before.Done() || c.Done()),
+				(ch == ChangeClaimed || ch == ChangeStolen) && rec.Epoch < before.Epoch:
 				t.Fatalf("%+v reported change %d: cell %+v -> %+v", rec, ch, before, *c)
 			}
 		}

@@ -323,6 +323,32 @@ func LoadAndQuarantine(path string) (records []Record, stats LoadStats, err erro
 // corrupt rather than decoded (a defensive cap — real records are < 1 KiB).
 const maxLineBytes = 16 * 1024 * 1024
 
+// lineDamage is why decodeLine refused a line.
+type lineDamage uint8
+
+const (
+	lineOK lineDamage = iota
+	// lineCorrupt: longer than maxLineBytes, not JSON, or a record without
+	// a key or status.
+	lineCorrupt
+	// lineCrcMismatch: a well-formed record whose CRC32C check failed.
+	lineCrcMismatch
+)
+
+// decodeLine decodes one trimmed, non-blank journal line into a trusted
+// record, or reports the kind of damage. Load and ReadFrom both read lines
+// through it, so the replay and the tail classify every line alike.
+func decodeLine(line []byte) (Record, lineDamage) {
+	var rec Record
+	if len(line) > maxLineBytes || json.Unmarshal(line, &rec) != nil || rec.Key == "" || rec.Status == "" {
+		return Record{}, lineCorrupt
+	}
+	if !verified(rec) {
+		return Record{}, lineCrcMismatch
+	}
+	return rec, lineOK
+}
+
 // load is the shared replay: records plus classified stats plus the
 // damaged lines themselves (interior corruption and CRC mismatches, in
 // file order) for callers that quarantine.
@@ -349,14 +375,14 @@ func load(path string) (records []Record, stats LoadStats, bad [][]byte, err err
 		if len(line) == 0 {
 			continue
 		}
-		var rec Record
-		if len(line) > maxLineBytes || json.Unmarshal(line, &rec) != nil || rec.Key == "" || rec.Status == "" {
+		rec, damage := decodeLine(line)
+		switch damage {
+		case lineCorrupt:
 			stats.CorruptInterior++
 			trailingCorrupt = true
 			bad = append(bad, line)
 			continue
-		}
-		if !verified(rec) {
+		case lineCrcMismatch:
 			// Structurally valid but content-damaged: never a torn-tail
 			// artifact (truncation cannot produce well-formed JSON with a
 			// checksum field), so it is damage wherever it sits.
@@ -474,16 +500,14 @@ func ReadFrom(path string, offset int64) (records []Record, stats TailStats, nex
 		if len(line) == 0 {
 			continue
 		}
-		var rec Record
-		if json.Unmarshal(line, &rec) != nil || rec.Key == "" || rec.Status == "" {
+		switch rec, damage := decodeLine(line); damage {
+		case lineCorrupt:
 			stats.Corrupt++
-			continue
-		}
-		if !verified(rec) {
+		case lineCrcMismatch:
 			stats.CrcMismatch++
-			continue
+		default:
+			records = append(records, rec)
 		}
-		records = append(records, rec)
 	}
 	return records, stats, next, nil
 }

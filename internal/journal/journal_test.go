@@ -1,11 +1,13 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -389,6 +391,94 @@ func TestAppendInjectedFailurePoisonsWriter(t *testing.T) {
 	// Poisoned: the hook is disarmed but the writer stays broken.
 	if _, err := w.Append(Record{Key: "c", Status: StatusOK}); err == nil || !strings.Contains(err.Error(), "injected append failure") {
 		t.Fatalf("append after poison: err = %v, want the original failure", err)
+	}
+}
+
+// TestJournalLoadAndReadFromAgree: the full replay and the incremental
+// tail read the same newline-terminated lines to the same records and the
+// same damage counts — including a well-formed record longer than
+// maxLineBytes, which both must refuse.
+func TestJournalLoadAndReadFromAgree(t *testing.T) {
+	line := func(rec Record) []byte {
+		rec.Crc = Checksum(rec)
+		b, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(b, '\n')
+	}
+	crcBad := bytes.Replace(line(Record{Key: "b", Status: StatusOK, Value: json.RawMessage(`2`)}),
+		[]byte(`"value":2`), []byte(`"value":3`), 1)
+	oversized := line(Record{Key: "c", Status: StatusOK,
+		Value: json.RawMessage(`"` + strings.Repeat("x", maxLineBytes) + `"`)})
+	data := bytes.Join([][]byte{
+		line(Record{Key: "a", Status: StatusOK, Value: json.RawMessage(`1`)}),
+		[]byte("garbage\n"),
+		crcBad,
+		oversized,
+		line(Record{Key: "d", Status: StatusFail, Error: "boom"}),
+	}, nil)
+	path := tmpPath(t)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, ls, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tailed, ts, next, err := ReadFrom(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := func(recs []Record) (ks []string) {
+		for _, r := range recs {
+			ks = append(ks, r.Key)
+		}
+		return ks
+	}
+	if !reflect.DeepEqual(loaded, tailed) {
+		t.Fatalf("Load read keys %q, ReadFrom %q", keys(loaded), keys(tailed))
+	}
+	if got := keys(loaded); !reflect.DeepEqual(got, []string{"a", "d"}) {
+		t.Fatalf("records with keys %q, want a and d", got)
+	}
+	if ls.Corrupt() != 2 || ts.Corrupt != 2 || ls.CrcMismatch != 1 || ts.CrcMismatch != 1 {
+		t.Fatalf("Load counted %d corrupt / %d CRC, ReadFrom %d / %d; want 2 / 1 from both",
+			ls.Corrupt(), ls.CrcMismatch, ts.Corrupt, ts.CrcMismatch)
+	}
+	if next != int64(len(data)) || ls.NextOffset != next {
+		t.Fatalf("offsets: Load %d, ReadFrom %d, want %d", ls.NextOffset, next, len(data))
+	}
+}
+
+// TestJournalFoldLateRenewalAfterSteal: a renewal that its holder appended
+// after its lease was stolen and then released must not hand the cell back
+// to it below the fencing floor the steal set, and compaction must keep
+// that floor.
+func TestJournalFoldLateRenewalAfterSteal(t *testing.T) {
+	recs := []Record{
+		{Key: "cell", Status: StatusClaimed, Worker: "w1", Epoch: 1, Deadline: 100},
+		{Key: "cell", Status: StatusClaimed, Worker: "w2", Epoch: 2, Deadline: 200},
+		{Key: "cell", Status: StatusClaimed, Worker: "w2", Epoch: 2},
+		// w1's renewal, collected while it still held epoch 1, lands late.
+		{Key: "cell", Status: StatusClaimed, Worker: "w1", Epoch: 1, Deadline: 300},
+	}
+	var c Cell
+	for _, rec := range recs[:3] {
+		c.Apply(rec)
+	}
+	if ch := c.Apply(recs[3]); ch != ChangeNone {
+		t.Fatalf("late renewal reported change %d, want ChangeNone", ch)
+	}
+	if c.Claim != nil || c.Epoch != 2 {
+		t.Fatalf("late renewal left claim %+v at epoch %d, want no holder at epoch 2", c.Claim, c.Epoch)
+	}
+	refold := Cells{}
+	for _, rec := range compactRecords(recs) {
+		refold.Apply(rec)
+	}
+	if r := refold["cell"]; r == nil || r.Claim != nil || r.Epoch != 2 {
+		t.Fatalf("compacted journal re-folds to %+v, want no holder at epoch 2", r)
 	}
 }
 

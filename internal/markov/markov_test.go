@@ -1,6 +1,7 @@
 package markov
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -119,11 +120,11 @@ func TestEquivalentModelPredictsSameLoss(t *testing.T) {
 	if !numerics.AlmostEqual(mk.Interarrival.Mean(), iv.Mean(), 0.05) {
 		t.Fatalf("mean epoch %v vs original %v", mk.Interarrival.Mean(), iv.Mean())
 	}
-	a, err := solver.SolveModel(orig, solver.Config{RelGap: 0.05})
+	a, err := solver.SolveModelContext(context.Background(), orig, solver.Config{RelGap: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := solver.SolveModel(mk, solver.Config{RelGap: 0.05})
+	b, err := solver.SolveModelContext(context.Background(), mk, solver.Config{RelGap: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}

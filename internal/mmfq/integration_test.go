@@ -1,6 +1,7 @@
 package mmfq_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -76,7 +77,7 @@ func TestFootnote2OverflowBoundsLoss(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := solver.SolveModel(model, solver.Config{RelGap: 0.05})
+		res, err := solver.SolveModelContext(context.Background(), model, solver.Config{RelGap: 0.05})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +121,7 @@ func TestMMFQDecayMatchesSolverTrend(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := solver.SolveModel(model, solver.Config{RelGap: 0.02})
+		res, err := solver.SolveModelContext(context.Background(), model, solver.Config{RelGap: 0.02})
 		if err != nil {
 			t.Fatal(err)
 		}

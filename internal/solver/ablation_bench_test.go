@@ -11,6 +11,7 @@ package solver
 // Run with: go test ./internal/solver -bench Ablation -benchmem
 
 import (
+	"context"
 	"testing"
 
 	"lrd/internal/dist"
@@ -18,14 +19,14 @@ import (
 	"lrd/internal/fluid"
 )
 
-func ablationQueue(b *testing.B) Queue {
+func ablationQueue(b *testing.B) Model {
 	b.Helper()
 	m := dist.MustMarginal([]float64{0, 2}, []float64{0.5, 0.5})
 	src, err := fluid.New(m, dist.TruncatedPareto{Theta: 0.05, Alpha: 1.4, Cutoff: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
-	q, err := NewQueueNormalized(src, 0.8, 0.3)
+	q, err := fluidModel(src, 0.8, 0.3)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func BenchmarkAblationResolutionLadder(b *testing.B) {
 	b.ReportAllocs()
 	var iters int
 	for i := 0; i < b.N; i++ {
-		res, err := Solve(q, cfg)
+		res, err := SolveModelContext(context.Background(), q, cfg)
 		if err != nil || !res.Converged {
 			b.Fatalf("res=%+v err=%v", res, err)
 		}
@@ -58,7 +59,7 @@ func BenchmarkAblationColdHighResolution(b *testing.B) {
 	b.ReportAllocs()
 	var iters int
 	for i := 0; i < b.N; i++ {
-		res, err := Solve(q, cfg)
+		res, err := SolveModelContext(context.Background(), q, cfg)
 		if err != nil || !res.Converged {
 			b.Fatalf("res=%+v err=%v", res, err)
 		}
@@ -74,7 +75,7 @@ func BenchmarkAblationColdHighResolution(b *testing.B) {
 func warmIterator(b *testing.B, bins int) *Iterator {
 	b.Helper()
 	q := ablationQueue(b)
-	it, err := NewIterator(q, Config{InitialBins: bins, MaxBins: bins})
+	it, err := NewModelIterator(q, Config{InitialBins: bins, MaxBins: bins})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func BenchmarkAblationGapTargets(b *testing.B) {
 			b.ReportAllocs()
 			var bins int
 			for i := 0; i < b.N; i++ {
-				res, err := Solve(q, cfg)
+				res, err := SolveModelContext(context.Background(), q, cfg)
 				if err != nil || !res.Converged {
 					b.Fatalf("res=%+v err=%v", res, err)
 				}

@@ -52,7 +52,7 @@ func solveAscending(t *testing.T, models []Model, cfg Config, warm bool) []Resul
 	out := make([]Result, len(models))
 	var seed *Seed
 	for _, i := range order {
-		r, err := SolveModelSeeded(context.Background(), models[i], cfg, seed)
+		r, err := solveSeeded(models[i], cfg, seed)
 		if err != nil {
 			t.Fatalf("cell %d: %v", i, err)
 		}
@@ -82,11 +82,11 @@ func TestBatchSolveBitIdentical(t *testing.T) {
 			if !ok {
 				continue
 			}
-			want, err := SolveModel(q.Model(), base)
+			want, err := SolveModelContext(context.Background(), q, base)
 			if err != nil {
 				t.Fatalf("cfg %d seed %d: cold solve: %v", ci, seed, err)
 			}
-			got, err := SolveModel(q.Model(), shared)
+			got, err := SolveModelContext(context.Background(), q, shared)
 			if err != nil {
 				t.Fatalf("cfg %d seed %d: arena solve: %v", ci, seed, err)
 			}
@@ -106,13 +106,13 @@ func TestBatchSolveAllExactMatchesPerCell(t *testing.T) {
 	cfg := Config{InitialBins: 64, MaxBins: 1024, MaxIterations: 10000}
 	var models []Model
 	for _, scale := range []float64{2.0, 0.5, 1.0, 1.5} { // deliberately unsorted
-		m := q.Model()
+		m := q
 		m.Buffer *= scale
 		models = append(models, m)
 	}
 	got := solveAscending(t, models, cfg, false)
 	for i, m := range models {
-		want, err := SolveModel(m, cfg)
+		want, err := SolveModelContext(context.Background(), m, cfg)
 		if err != nil {
 			t.Fatalf("cell %d: %v", i, err)
 		}
@@ -129,7 +129,7 @@ func TestArenaStepAllocations(t *testing.T) {
 		t.Fatal("randomModel(5) invalid")
 	}
 	cfg := Config{InitialBins: 512, MaxBins: 512, MaxIterations: 10000, Arena: NewArena()}
-	it, err := NewModelIterator(q.Model(), cfg)
+	it, err := NewModelIterator(q, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

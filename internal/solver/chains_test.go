@@ -2,6 +2,7 @@ package solver
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"runtime"
@@ -35,7 +36,7 @@ func concurrentIterator(t *testing.T, arena *Arena) *Iterator {
 	if !ok {
 		t.Fatal("randomModel(5) invalid")
 	}
-	it, err := NewModelIterator(q.Model(), Config{
+	it, err := NewModelIterator(q, Config{
 		InitialBins: concurrentBins, MaxBins: concurrentBins, MaxIterations: 10000, Arena: arena,
 	})
 	if err != nil {
@@ -150,7 +151,7 @@ func TestConcurrentStepAllocations(t *testing.T) {
 // how many chains helpers start is up to the scheduler; the per-step tests
 // above make sure some do.
 func TestConcurrentSolvesShareArena(t *testing.T) {
-	var queues []Queue
+	var queues []Model
 	for seed := int64(1); len(queues) < 8; seed++ {
 		if q, ok := randomModel(seed); ok {
 			queues = append(queues, q)
@@ -159,7 +160,7 @@ func TestConcurrentSolvesShareArena(t *testing.T) {
 	cfg := Config{InitialBins: concurrentStepMinBins, MaxBins: concurrentStepMinBins, MaxIterations: 20}
 	want := make([]Result, len(queues))
 	for i, q := range queues {
-		res, err := SolveModel(q.Model(), cfg)
+		res, err := SolveModelContext(context.Background(), q, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,9 +172,9 @@ func TestConcurrentSolvesShareArena(t *testing.T) {
 	var wg sync.WaitGroup
 	for i, q := range queues {
 		wg.Add(1)
-		go func(i int, q Queue) {
+		go func(i int, q Model) {
 			defer wg.Done()
-			got[i], errs[i] = SolveModel(q.Model(), cfg)
+			got[i], errs[i] = SolveModelContext(context.Background(), q, cfg)
 		}(i, q)
 	}
 	wg.Wait()

@@ -69,22 +69,12 @@ func degradeReasonFromContext(err error) DegradeReason {
 	return ""
 }
 
-// SolveContext is Solve with cancellation and deadline support. The context
+// SolveModelContext computes the stationary loss rate of m. The context
 // is checked between Lindley iterations; on cancellation or deadline expiry
 // the solver does not discard its work — by Proposition II.1 the bounds are
 // valid at every iteration, so it returns the best-so-far bracketed Result
 // with Result.Degraded set and a nil error. Errors are returned only for
 // malformed inputs or numeric-watchdog violations (see ErrNumeric).
-func SolveContext(ctx context.Context, q Queue, cfg Config) (Result, error) {
-	it, err := NewIterator(q, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return it.RunContext(ctx)
-}
-
-// SolveModelContext is SolveModel with cancellation and deadline support;
-// it follows the same degrade-gracefully contract as SolveContext.
 func SolveModelContext(ctx context.Context, m Model, cfg Config) (Result, error) {
 	it, err := NewModelIterator(m, cfg)
 	if err != nil {

@@ -8,9 +8,9 @@ import (
 
 // lossyQueue is a queue with substantial loss so bounds move every
 // iteration and degraded results carry nonzero brackets.
-func lossyQueue(t *testing.T) Queue {
+func lossyQueue(t *testing.T) Model {
 	t.Helper()
-	q, err := NewQueueNormalized(onOffSource(t, 2), 0.9, 0.1)
+	q, err := fluidModel(onOffSource(t, 2), 0.9, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestSolveContextDegradedPaths(t *testing.T) {
 	q := lossyQueue(t)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := SolveContext(tc.ctx, q, tc.cfg)
+			res, err := SolveModelContext(tc.ctx, q, tc.cfg)
 			checkDegraded(t, res, err, tc.reason)
 		})
 	}
@@ -75,12 +75,12 @@ func TestDegradedMatchesUninterruptedPrefix(t *testing.T) {
 	// Budgets small enough that no refinement (stall >= 5) can trigger.
 	for _, budget := range []int{1, 2, 4} {
 		cfg := Config{MaxIterations: budget, RelGap: 1e-12, InitialBins: 256, MaxBins: 256}
-		res, err := SolveContext(context.Background(), q, cfg)
+		res, err := SolveModelContext(context.Background(), q, cfg)
 		checkDegraded(t, res, err, DegradedIterations)
 		if res.Iterations != budget {
 			t.Fatalf("budget %d: stopped after %d iterations", budget, res.Iterations)
 		}
-		ref, err := NewIterator(q, Config{InitialBins: 256, MaxBins: 256})
+		ref, err := NewModelIterator(q, Config{InitialBins: 256, MaxBins: 256})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,37 +97,36 @@ func TestDegradedMatchesUninterruptedPrefix(t *testing.T) {
 	}
 }
 
-// TestSolveContextCompletesWithoutInterference: with a background context
-// and no budgets, SolveContext behaves exactly like Solve.
+// TestSolveContextCompletesWithoutInterference: with a live but never
+// canceled context and no budgets, SolveModelContext behaves exactly like a
+// solve under the background context.
 func TestSolveContextCompletesWithoutInterference(t *testing.T) {
 	q := lossyQueue(t)
-	res, err := SolveContext(context.Background(), q, Config{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	res, err := SolveModelContext(ctx, q, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Converged || res.Degraded != "" {
 		t.Fatalf("clean solve came back degraded: converged %v, reason %q", res.Converged, res.Degraded)
 	}
-	plain, err := Solve(q, Config{})
+	plain, err := SolveModelContext(context.Background(), q, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Loss != plain.Loss || res.Lower != plain.Lower || res.Upper != plain.Upper {
-		t.Fatalf("SolveContext [%v,%v] disagrees with Solve [%v,%v]",
+		t.Fatalf("cancelable solve [%v,%v] disagrees with background solve [%v,%v]",
 			res.Lower, res.Upper, plain.Lower, plain.Upper)
 	}
 }
 
-// TestSolveModelContextDegrades covers the general-model entry point.
+// TestSolveModelContextDegrades: a solve whose context is already canceled
+// degrades at once instead of erroring.
 func TestSolveModelContextDegrades(t *testing.T) {
-	q := lossyQueue(t)
-	m, err := NewModel(q.Source.Marginal, q.Source.Interarrival, q.ServiceRate, q.Buffer)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := SolveModelContext(ctx, m, Config{})
+	res, err := SolveModelContext(ctx, lossyQueue(t), Config{})
 	checkDegraded(t, res, err, DegradedCanceled)
 }
 
@@ -137,7 +136,7 @@ func TestRunContextGenerousDeadline(t *testing.T) {
 	q := lossyQueue(t)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
 	defer cancel()
-	res, err := SolveContext(ctx, q, Config{})
+	res, err := SolveModelContext(ctx, q, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ func TestRunUntilDecidedStopsAtFirstDecidingStep(t *testing.T) {
 	q := lossyQueue(t)
 	cfg := Config{InitialBins: 256, MaxBins: 256, RelGap: 1e-12}
 	const steps = 40
-	hand, err := NewIterator(q, cfg)
+	hand, err := NewModelIterator(q, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestRunUntilDecidedStopsAtFirstDecidingStep(t *testing.T) {
 		if want < 0 {
 			t.Fatalf("%s: threshold %g undecided by hand within %d steps", c.name, c.threshold, steps)
 		}
-		it, err := NewIterator(q, cfg)
+		it, err := NewModelIterator(q, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func TestRunUntilDecidedStopsAtFirstDecidingStep(t *testing.T) {
 func TestRunUntilDecidedInsideBracketBitIdentical(t *testing.T) {
 	q := lossyQueue(t)
 	for _, cfg := range []Config{{}, {RelGap: 0.05, Arena: NewArena()}} {
-		plain, err := SolveContext(context.Background(), q, cfg)
+		plain, err := SolveModelContext(context.Background(), q, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestRunUntilDecidedInsideBracketBitIdentical(t *testing.T) {
 			t.Fatalf("degenerate plain bracket [%g, %g]", plain.Lower, plain.Upper)
 		}
 		for _, f := range []float64{0.01, 0.5, 0.99} {
-			it, err := NewIterator(q, cfg)
+			it, err := NewModelIterator(q, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -27,7 +27,7 @@ func stepUntilError(t *testing.T, it *Iterator, limit int) error {
 // bounds.
 func TestWatchdogCatchesInjectedNaN(t *testing.T) {
 	defer faultinject.Reset()
-	it, err := NewIterator(lossyQueue(t), Config{InitialBins: 128, MaxBins: 128})
+	it, err := NewModelIterator(lossyQueue(t), Config{InitialBins: 128, MaxBins: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestWatchdogCatchesInjectedNaN(t *testing.T) {
 // mass-drift check on the very step it happens.
 func TestWatchdogCatchesMassDrift(t *testing.T) {
 	defer faultinject.Reset()
-	it, err := NewIterator(lossyQueue(t), Config{InitialBins: 128, MaxBins: 128})
+	it, err := NewModelIterator(lossyQueue(t), Config{InitialBins: 128, MaxBins: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestWatchdogCatchesMassDrift(t *testing.T) {
 // lower exceeds the upper must trip the bracket-ordering check.
 func TestWatchdogCatchesBoundOrderViolation(t *testing.T) {
 	defer faultinject.Reset()
-	it, err := NewIterator(lossyQueue(t), Config{InitialBins: 128, MaxBins: 128})
+	it, err := NewModelIterator(lossyQueue(t), Config{InitialBins: 128, MaxBins: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestWatchdogCatchesBoundOrderViolation(t *testing.T) {
 // must trip the monotone-tightening check.
 func TestWatchdogCatchesMonotonicityViolation(t *testing.T) {
 	defer faultinject.Reset()
-	it, err := NewIterator(lossyQueue(t), Config{InitialBins: 128, MaxBins: 128})
+	it, err := NewModelIterator(lossyQueue(t), Config{InitialBins: 128, MaxBins: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestWatchdogCatchesMonotonicityViolation(t *testing.T) {
 // at its last healthy state so callers can still read valid bounds.
 func TestWatchdogErrorNotCommitted(t *testing.T) {
 	defer faultinject.Reset()
-	it, err := NewIterator(lossyQueue(t), Config{InitialBins: 128, MaxBins: 128})
+	it, err := NewModelIterator(lossyQueue(t), Config{InitialBins: 128, MaxBins: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,9 +153,9 @@ func TestSolveContextSurfacesNumericError(t *testing.T) {
 	faultinject.Arm(faultinject.SolverConvolution, func(xs []float64) {
 		xs[0] = math.NaN()
 	})
-	_, err := SolveContext(context.Background(), lossyQueue(t), Config{InitialBins: 128, MaxBins: 128})
+	_, err := SolveModelContext(context.Background(), lossyQueue(t), Config{InitialBins: 128, MaxBins: 128})
 	if !errors.Is(err, ErrNumeric) {
-		t.Fatalf("want ErrNumeric from SolveContext, got %v", err)
+		t.Fatalf("want ErrNumeric from SolveModelContext, got %v", err)
 	}
 }
 
@@ -168,7 +168,7 @@ func TestConstructionRejectsCorruptIncrementPMF(t *testing.T) {
 			xs[0] = math.NaN()
 		}
 	})
-	_, err := NewIterator(lossyQueue(t), Config{InitialBins: 128, MaxBins: 128})
+	_, err := NewModelIterator(lossyQueue(t), Config{InitialBins: 128, MaxBins: 128})
 	var ne *NumericError
 	if !errors.As(err, &ne) || ne.Kind != HealthNotFinite {
 		t.Fatalf("want not-finite construction error, got %v", err)

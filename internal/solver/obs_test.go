@@ -12,17 +12,17 @@ import (
 // is purely observational: attaching a Recorder and a Trace sink must not
 // change a single bit of the solver's output.
 func TestSolveBitIdenticalWithInstrumentation(t *testing.T) {
-	q, err := NewQueueNormalized(onOffSource(t, 2), 0.8, 0.2)
+	q, err := fluidModel(onOffSource(t, 2), 0.8, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := SolveContext(context.Background(), q, Config{})
+	plain, err := SolveModelContext(context.Background(), q, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
 	var points []TracePoint
-	instr, err := SolveContext(context.Background(), q, Config{
+	instr, err := SolveModelContext(context.Background(), q, Config{
 		Recorder: reg,
 		Trace:    func(p TracePoint) { points = append(points, p) },
 	})
@@ -48,12 +48,12 @@ func TestSolveBitIdenticalWithInstrumentation(t *testing.T) {
 // convergence stream: within one solve the lower bounds are non-decreasing
 // and the upper bounds non-increasing, across Refine events included.
 func TestTraceMonotoneBounds(t *testing.T) {
-	q, err := NewQueueNormalized(videoSource(t, 3), 0.8, 0.5)
+	q, err := fluidModel(videoSource(t, 3), 0.8, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var points []TracePoint
-	res, err := SolveContext(context.Background(), q, Config{
+	res, err := SolveModelContext(context.Background(), q, Config{
 		Trace: func(p TracePoint) { points = append(points, p) },
 	})
 	if err != nil {
@@ -108,14 +108,14 @@ func TestTraceMonotoneBounds(t *testing.T) {
 // TestSolveIDsDistinguishConcurrentSolves: each solve's trace carries a
 // process-unique id so interleaved JSONL streams can be separated.
 func TestSolveIDsDistinguishConcurrentSolves(t *testing.T) {
-	q, err := NewQueueNormalized(onOffSource(t, 1), 0.8, 0.2)
+	q, err := fluidModel(onOffSource(t, 1), 0.8, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ids := map[uint64]bool{}
 	for i := 0; i < 3; i++ {
 		var first *TracePoint
-		_, err := SolveContext(context.Background(), q, Config{
+		_, err := SolveModelContext(context.Background(), q, Config{
 			Trace: func(p TracePoint) {
 				if first == nil {
 					first = &p
@@ -138,13 +138,13 @@ func TestSolveIDsDistinguishConcurrentSolves(t *testing.T) {
 // TestDegradedSolveRecordsReason: a budget-limited solve shows up in the
 // labeled degraded counter and still emits a final trace point.
 func TestDegradedSolveRecordsReason(t *testing.T) {
-	q, err := NewQueueNormalized(videoSource(t, 3), 0.8, 1.0)
+	q, err := fluidModel(videoSource(t, 3), 0.8, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
 	sawFinal := false
-	res, err := SolveContext(context.Background(), q, Config{
+	res, err := SolveModelContext(context.Background(), q, Config{
 		MaxIterations: 5,
 		Recorder:      reg,
 		Trace:         func(p TracePoint) { sawFinal = p.Final },

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,7 +13,7 @@ import (
 )
 
 // randomModel draws a random, valid, stable queue from a seed.
-func randomModel(seed int64) (Queue, bool) {
+func randomModel(seed int64) (Model, bool) {
 	rng := rand.New(rand.NewSource(seed))
 	// Marginal: 2–6 atoms with random rates in [0, 10).
 	n := rng.Intn(5) + 2
@@ -29,10 +30,10 @@ func randomModel(seed int64) (Queue, bool) {
 	}
 	m, err := dist.NewMarginal(rates, probs)
 	if err != nil {
-		return Queue{}, false
+		return Model{}, false
 	}
 	if m.Variance() <= 1e-6 {
-		return Queue{}, false
+		return Model{}, false
 	}
 	src, err := fluid.New(m, dist.TruncatedPareto{
 		Theta:  0.005 + rng.Float64()*0.1,
@@ -40,13 +41,13 @@ func randomModel(seed int64) (Queue, bool) {
 		Cutoff: 0.1 + rng.Float64()*10,
 	})
 	if err != nil {
-		return Queue{}, false
+		return Model{}, false
 	}
 	util := 0.3 + rng.Float64()*0.6
 	nbuf := 0.01 + rng.Float64()*0.5
-	q, err := NewQueueNormalized(src, util, nbuf)
+	q, err := fluidModel(src, util, nbuf)
 	if err != nil {
-		return Queue{}, false
+		return Model{}, false
 	}
 	return q, true
 }
@@ -60,7 +61,7 @@ func TestPropertyBoundsAlwaysOrdered(t *testing.T) {
 		if !ok {
 			return true
 		}
-		it, err := NewIterator(q, Config{InitialBins: 64, MaxBins: 64})
+		it, err := NewModelIterator(q, Config{InitialBins: 64, MaxBins: 64})
 		if err != nil {
 			return false
 		}
@@ -96,12 +97,12 @@ func TestPropertyLossBelowZeroBufferBound(t *testing.T) {
 		if !ok {
 			return true
 		}
-		res, err := Solve(q, Config{InitialBins: 64, MaxBins: 1024, MaxIterations: 5000})
+		res, err := SolveModelContext(context.Background(), q, Config{InitialBins: 64, MaxBins: 1024, MaxIterations: 5000})
 		if err != nil {
 			return false
 		}
 		var excess numerics.Accumulator
-		m := q.Source.Marginal
+		m := q.Marginal
 		for i := 0; i < m.Len(); i++ {
 			if d := m.Rate(i) - q.ServiceRate; d > 0 {
 				excess.Add(m.Prob(i) * d)
@@ -123,16 +124,16 @@ func TestPropertyExpectedLossTable(t *testing.T) {
 		if !ok {
 			return true
 		}
-		it, err := NewIterator(q, Config{InitialBins: 32, MaxBins: 32})
+		it, err := NewModelIterator(q, Config{InitialBins: 32, MaxBins: 32})
 		if err != nil {
 			return false
 		}
 		prev := -1.0
 		var excess numerics.Accumulator
-		m := q.Source.Marginal
+		m := q.Marginal
 		for i := 0; i < m.Len(); i++ {
 			if d := m.Rate(i) - q.ServiceRate; d > 0 {
-				excess.Add(m.Prob(i) * d * q.Source.Interarrival.Mean())
+				excess.Add(m.Prob(i) * d * q.Interarrival.Mean())
 			}
 		}
 		// E[W_l|Q] <= E[W⁺] <= Σ π_i (λ_i−c)⁺ E[T] (loss can't exceed the
@@ -166,11 +167,11 @@ func TestPropertyWorkCDFIsDistribution(t *testing.T) {
 		if !ok {
 			return true
 		}
-		it, err := NewIterator(q, Config{InitialBins: 16, MaxBins: 16})
+		it, err := NewModelIterator(q, Config{InitialBins: 16, MaxBins: 16})
 		if err != nil {
 			return false
 		}
-		span := (q.Source.Marginal.Max() + q.ServiceRate) * math.Min(q.Source.Interarrival.Cutoff, 1e6)
+		span := (q.Marginal.Max() + q.ServiceRate) * math.Min(q.Interarrival.(dist.TruncatedPareto).Cutoff, 1e6)
 		prev := -1.0
 		for _, x := range numerics.Linspace(-span-1, span+1, 101) {
 			_, v := it.workCDFBoth(x)

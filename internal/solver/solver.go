@@ -22,12 +22,13 @@
 //
 // Every solve is interruptible, budgeted, and self-checking:
 //
-//   - Cancellation. SolveContext, SolveModelContext, and Iterator.RunContext
-//     check their context between Lindley iterations. Because the bounds are
-//     valid at every iteration (Prop. II.1), cancellation or deadline expiry
-//     never discards work: the solver returns the best-so-far bracketed
-//     Result with Converged=false and Result.Degraded recording the reason,
-//     and a nil error. A degraded Result still brackets the true loss:
+//   - Cancellation. SolveModelContext, Iterator.RunContext, and
+//     Iterator.RunUntilDecided check their context between Lindley
+//     iterations. Because the bounds are valid at every iteration
+//     (Prop. II.1), cancellation or deadline expiry never discards work:
+//     the solver returns the best-so-far bracketed Result with
+//     Converged=false and Result.Degraded recording the reason, and a nil
+//     error. A degraded Result still brackets the true loss:
 //     Lower <= true loss <= Upper, and Lower <= Loss <= Upper (the midpoint).
 //   - Budgets. Config.MaxDuration imposes a per-solve wall-clock budget,
 //     Config.MaxIterations an iteration budget; exhausting either degrades
@@ -42,7 +43,6 @@
 package solver
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -52,16 +52,16 @@ import (
 	"lrd/internal/dist"
 	"lrd/internal/faultinject"
 	"lrd/internal/fft"
-	"lrd/internal/fluid"
 	"lrd/internal/numerics"
 	"lrd/internal/obs"
 )
 
-// Model is the general system the procedure solves: a finite-buffer
+// Model is the one system the procedure solves: a finite-buffer
 // constant-rate server fed by a renewal-modulated fluid source whose epoch
-// lengths follow any dist.Interarrival law. The paper instantiates it with
-// the truncated-Pareto law (use Queue for that convenience), but the same
-// machinery solves e.g. the hyperexponential (Markovian) baseline of §IV.
+// lengths follow any dist.Interarrival law. The paper's queue is the
+// truncated-Pareto instance (NewModelNormalized over the fluid source), and
+// the same machinery solves e.g. the hyperexponential (Markovian) baseline
+// of §IV.
 type Model struct {
 	Marginal     dist.Marginal
 	Interarrival dist.Interarrival
@@ -111,11 +111,9 @@ func NewModelFromSource(src Source, serviceRate, buffer float64) (Model, error) 
 }
 
 // NewModelNormalized builds a Model from a utilization target and a
-// normalized buffer size in seconds — the parameterization used throughout
-// the paper's experiments, generalized from Queue to any Source. The
-// arithmetic (c = mean rate / utilization, B = normalized buffer · c) is
-// identical to NewQueueNormalized, so a fluid-backed Source yields a
-// bit-identical model.
+// normalized buffer size in seconds (buffer capacity divided by service
+// rate) — the parameterization used throughout the paper's experiments:
+// c = mean rate / utilization and B = normalized buffer · c.
 func NewModelNormalized(src Source, utilization, normalizedBuffer float64) (Model, error) {
 	if src == nil {
 		return Model{}, errors.New("solver: nil source")
@@ -132,58 +130,6 @@ func (m Model) Utilization() float64 { return m.Marginal.Mean() / m.ServiceRate 
 
 // NormalizedBuffer returns B/c in seconds.
 func (m Model) NormalizedBuffer() float64 { return m.Buffer / m.ServiceRate }
-
-// Queue describes the paper's system: the fluid queue fed by the
-// truncated-Pareto cutoff-correlated source (a Model specialization).
-type Queue struct {
-	Source      fluid.Source
-	ServiceRate float64 // c, in work units per second (e.g. Mb/s)
-	Buffer      float64 // B, in work units (e.g. Mb); Buffer = c·(normalized buffer)
-}
-
-// Model returns the general-solver view of the queue.
-func (q Queue) Model() Model {
-	return Model{
-		Marginal:     q.Source.Marginal,
-		Interarrival: q.Source.Interarrival,
-		ServiceRate:  q.ServiceRate,
-		Buffer:       q.Buffer,
-	}
-}
-
-// NewQueue validates and returns a Queue.
-func NewQueue(src fluid.Source, serviceRate, buffer float64) (Queue, error) {
-	if !(serviceRate > 0) {
-		return Queue{}, fmt.Errorf("solver: service rate %v, need > 0", serviceRate)
-	}
-	if !(buffer > 0) || math.IsInf(buffer, 1) {
-		return Queue{}, fmt.Errorf("solver: buffer %v, need finite > 0", buffer)
-	}
-	if src.Marginal.Len() == 0 {
-		return Queue{}, errors.New("solver: queue source has empty marginal")
-	}
-	if err := src.Interarrival.Validate(); err != nil {
-		return Queue{}, err
-	}
-	return Queue{Source: src, ServiceRate: serviceRate, Buffer: buffer}, nil
-}
-
-// NewQueueNormalized builds a Queue from a utilization target and a
-// normalized buffer size in seconds (buffer capacity divided by service
-// rate), the parameterization used throughout the paper's experiments.
-func NewQueueNormalized(src fluid.Source, utilization, normalizedBuffer float64) (Queue, error) {
-	c, err := src.ServiceRateForUtilization(utilization)
-	if err != nil {
-		return Queue{}, err
-	}
-	return NewQueue(src, c, normalizedBuffer*c)
-}
-
-// Utilization returns ρ = λ̄/c.
-func (q Queue) Utilization() float64 { return q.Source.MeanRate() / q.ServiceRate }
-
-// NormalizedBuffer returns B/c in seconds.
-func (q Queue) NormalizedBuffer() float64 { return q.Buffer / q.ServiceRate }
 
 // Config tunes the solver. The zero value selects the defaults the paper's
 // experimental setup describes (§III): a 20 % relative gap target between
@@ -206,7 +152,7 @@ type Config struct {
 	// both bounds move by less than StallTol relative per step. Default 1e-4.
 	StallTol float64
 	// MaxDuration is a per-solve wall-clock budget. When positive, RunContext
-	// (and SolveContext/SolveModelContext) stop after it elapses and return
+	// (and SolveModelContext) stops after it elapses and returns
 	// the best-so-far bracket as a degraded Result. Zero means no budget.
 	MaxDuration time.Duration
 	// MassDriftTol is the numeric-health watchdog's tolerance for occupancy
@@ -355,27 +301,9 @@ func (r Result) RelativeGap() float64 {
 	return relativeGap(r.Lower, r.Upper)
 }
 
-// Solve computes the stationary loss rate of the paper's queue.
-func Solve(q Queue, cfg Config) (Result, error) {
-	it, err := NewIterator(q, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return it.Run()
-}
-
-// SolveModel computes the stationary loss rate of a general Model.
-func SolveModel(m Model, cfg Config) (Result, error) {
-	it, err := NewModelIterator(m, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return it.Run()
-}
-
 // Iterator exposes the solver's state step by step, which the paper's
 // Figure 2 uses to show the occupancy bounds after n = 5, 10, 30
-// iterations. Most callers should use Solve.
+// iterations. Most callers should use SolveModelContext.
 type Iterator struct {
 	model Model
 	cfg   Config
@@ -427,14 +355,6 @@ type Iterator struct {
 	// soon as its bracket excludes threshold.
 	decide    bool
 	threshold float64
-}
-
-// NewIterator validates the queue and prepares the initial resolution.
-func NewIterator(q Queue, cfg Config) (*Iterator, error) {
-	if _, err := NewQueue(q.Source, q.ServiceRate, q.Buffer); err != nil {
-		return nil, err
-	}
-	return NewModelIterator(q.Model(), cfg)
 }
 
 // NewModelIterator validates a general model and prepares the initial
@@ -735,13 +655,6 @@ func (it *Iterator) result(loss, lo, hi float64, ok bool) Result {
 		LowerOccupancy: it.LowerOccupancy(),
 		UpperOccupancy: it.UpperOccupancy(),
 	}
-}
-
-// Run drives the iterate/refine loop to completion. It is RunContext with
-// a background context; see RunContext for the degrade-gracefully and
-// numeric-health contract.
-func (it *Iterator) Run() (Result, error) {
-	return it.RunContext(context.Background())
 }
 
 func relChange(prev, cur float64) float64 {

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -36,30 +37,45 @@ func videoSource(t *testing.T, cutoff float64) fluid.Source {
 	return src
 }
 
-func TestNewQueueValidation(t *testing.T) {
+// fluidSource adapts the paper's fluid.Source to the Source contract the
+// way source.NewFluid does; solver tests cannot import internal/source,
+// which depends on packages built on this one.
+type fluidSource struct{ src fluid.Source }
+
+func (f fluidSource) Marginal() dist.Marginal         { return f.src.Marginal }
+func (f fluidSource) Interarrival() dist.Interarrival { return f.src.Interarrival }
+func (f fluidSource) MeanRate() float64               { return f.src.MeanRate() }
+
+// fluidModel builds the paper's queue over src: utilization util and a
+// buffer of nbuf seconds at the service rate.
+func fluidModel(src fluid.Source, util, nbuf float64) (Model, error) {
+	return NewModelNormalized(fluidSource{src}, util, nbuf)
+}
+
+func TestNewModelValidation(t *testing.T) {
 	src := onOffSource(t, 1)
-	if _, err := NewQueue(src, 0, 1); err == nil {
+	if _, err := NewModel(src.Marginal, src.Interarrival, 0, 1); err == nil {
 		t.Fatal("want error for zero service rate")
 	}
-	if _, err := NewQueue(src, 1, 0); err == nil {
+	if _, err := NewModel(src.Marginal, src.Interarrival, 1, 0); err == nil {
 		t.Fatal("want error for zero buffer")
 	}
-	if _, err := NewQueue(src, 1, math.Inf(1)); err == nil {
+	if _, err := NewModel(src.Marginal, src.Interarrival, 1, math.Inf(1)); err == nil {
 		t.Fatal("want error for infinite buffer")
 	}
-	bad := src
-	bad.Interarrival.Theta = -1
-	if _, err := NewQueue(bad, 1, 1); err == nil {
+	bad := src.Interarrival
+	bad.Theta = -1
+	if _, err := NewModel(src.Marginal, bad, 1, 1); err == nil {
 		t.Fatal("want error for invalid interarrival law")
 	}
-	if _, err := NewQueue(fluid.Source{}, 1, 1); err == nil {
+	if _, err := NewModel(dist.Marginal{}, src.Interarrival, 1, 1); err == nil {
 		t.Fatal("want error for empty marginal")
 	}
 }
 
-func TestNewQueueNormalized(t *testing.T) {
+func TestNewModelNormalized(t *testing.T) {
 	src := onOffSource(t, 1)
-	q, err := NewQueueNormalized(src, 0.8, 0.5)
+	q, err := fluidModel(src, 0.8, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,18 +85,43 @@ func TestNewQueueNormalized(t *testing.T) {
 	if !numerics.AlmostEqual(q.NormalizedBuffer(), 0.5, 1e-12) {
 		t.Fatalf("normalized buffer = %v", q.NormalizedBuffer())
 	}
-	if _, err := NewQueueNormalized(src, 1.2, 0.5); err == nil {
+	if _, err := fluidModel(src, 1.2, 0.5); err == nil {
 		t.Fatal("want error for utilization > 1")
+	}
+	if _, err := NewModelNormalized(nil, 0.8, 0.5); err == nil {
+		t.Fatal("want error for nil source")
+	}
+}
+
+// TestNewModelNormalizedServiceRate checks the service rate that loads a
+// fluid source to utilization ρ is c = mean/ρ, and that ρ outside (0, 1)
+// is rejected.
+func TestNewModelNormalizedServiceRate(t *testing.T) {
+	src := onOffSource(t, 1)
+	q, err := fluidModel(src, 0.8, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := src.MeanRate() / 0.8; q.ServiceRate != want {
+		t.Fatalf("service rate = %v, want mean/ρ = %v", q.ServiceRate, want)
+	}
+	if !numerics.AlmostEqual(src.MeanRate()/q.ServiceRate, 0.8, 1e-12) {
+		t.Fatalf("utilization = %v", src.MeanRate()/q.ServiceRate)
+	}
+	for _, rho := range []float64{0, 1, -0.5, 2} {
+		if _, err := fluidModel(src, rho, 0.5); err == nil {
+			t.Errorf("rho=%v accepted", rho)
+		}
 	}
 }
 
 func TestIncrementPMFsSumToOne(t *testing.T) {
 	for _, cutoff := range []float64{0.5, 5, math.Inf(1)} {
-		q, err := NewQueueNormalized(onOffSource(t, cutoff), 0.8, 0.2)
+		q, err := fluidModel(onOffSource(t, cutoff), 0.8, 0.2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		it, err := NewIterator(q, Config{InitialBins: 64})
+		it, err := NewModelIterator(q, Config{InitialBins: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,11 +145,11 @@ func TestIncrementPMFsSumToOne(t *testing.T) {
 func TestIncrementPMFStochasticOrdering(t *testing.T) {
 	// The lower pmf rounds W down, the upper rounds up, so the partial sums
 	// (CDFs) must satisfy CDF_L(i) >= CDF_H(i) pointwise (W_L ≤st W_H).
-	q, err := NewQueueNormalized(onOffSource(t, 2), 0.8, 0.3)
+	q, err := fluidModel(onOffSource(t, 2), 0.8, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := NewIterator(q, Config{InitialBins: 128})
+	it, err := NewModelIterator(q, Config{InitialBins: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +164,11 @@ func TestIncrementPMFStochasticOrdering(t *testing.T) {
 }
 
 func TestWorkCDFMonotoneAndBounds(t *testing.T) {
-	q, err := NewQueueNormalized(videoSource(t, 3), 0.8, 1.0)
+	q, err := fluidModel(videoSource(t, 3), 0.8, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := NewIterator(q, Config{InitialBins: 32})
+	it, err := NewModelIterator(q, Config{InitialBins: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,11 +188,11 @@ func TestWorkCDFMonotoneAndBounds(t *testing.T) {
 		prev = v
 	}
 	// Far tails.
-	maxW := (q.Source.Marginal.Max() - q.ServiceRate) * q.Source.Interarrival.Cutoff
+	maxW := (q.Marginal.Max() - q.ServiceRate) * q.Interarrival.(dist.TruncatedPareto).Cutoff
 	if _, got := it.workCDFBoth(maxW + 1); got != 1 {
 		t.Fatalf("CDF beyond max W = %v, want 1", got)
 	}
-	minW := (q.Source.Marginal.Min() - q.ServiceRate) * q.Source.Interarrival.Cutoff
+	minW := (q.Marginal.Min() - q.ServiceRate) * q.Interarrival.(dist.TruncatedPareto).Cutoff
 	if _, got := it.workCDFBoth(minW - 1); got != 0 {
 		t.Fatalf("CDF below min W = %v, want 0", got)
 	}
@@ -160,15 +201,15 @@ func TestWorkCDFMonotoneAndBounds(t *testing.T) {
 func TestExpectedLossGivenOccupancyMatchesQuadrature(t *testing.T) {
 	// E[W_l|Q=x] = ∫₀^∞ Pr{W > y + B − x} dy, evaluated numerically from the
 	// work ccdf and compared against the closed form.
-	q, err := NewQueueNormalized(videoSource(t, 3), 0.8, 0.5)
+	q, err := fluidModel(videoSource(t, 3), 0.8, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := NewIterator(q, Config{InitialBins: 32})
+	it, err := NewModelIterator(q, Config{InitialBins: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	maxW := (q.Source.Marginal.Max() - q.ServiceRate) * q.Source.Interarrival.Cutoff
+	maxW := (q.Marginal.Max() - q.ServiceRate) * q.Interarrival.(dist.TruncatedPareto).Cutoff
 	for _, frac := range []float64{0, 0.25, 0.5, 0.9, 1} {
 		x := frac * q.Buffer
 		want := numerics.Trapezoid(func(y float64) float64 {
@@ -183,11 +224,11 @@ func TestExpectedLossGivenOccupancyMatchesQuadrature(t *testing.T) {
 }
 
 func TestExpectedLossIncreasingInOccupancy(t *testing.T) {
-	q, err := NewQueueNormalized(onOffSource(t, 5), 0.8, 0.5)
+	q, err := fluidModel(onOffSource(t, 5), 0.8, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := NewIterator(q, Config{InitialBins: 32})
+	it, err := NewModelIterator(q, Config{InitialBins: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,11 +245,11 @@ func TestExpectedLossIncreasingInOccupancy(t *testing.T) {
 func TestBoundsOrderedAndMonotone(t *testing.T) {
 	// Proposition II.1: at every n, lower <= upper; the lower bound is
 	// non-decreasing and the upper bound non-increasing in n.
-	q, err := NewQueueNormalized(onOffSource(t, 1), 0.8, 0.2)
+	q, err := fluidModel(onOffSource(t, 1), 0.8, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := NewIterator(q, Config{InitialBins: 100})
+	it, err := NewModelIterator(q, Config{InitialBins: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,12 +273,12 @@ func TestBoundsOrderedAndMonotone(t *testing.T) {
 func TestBoundsTightenWithResolution(t *testing.T) {
 	// Running to stationarity at M and 2M: the bracket at 2M must be nested
 	// inside (or equal to) the bracket at M.
-	q, err := NewQueueNormalized(onOffSource(t, 1), 0.8, 0.2)
+	q, err := fluidModel(onOffSource(t, 1), 0.8, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := func(bins int) (lo, hi float64) {
-		it, err := NewIterator(q, Config{InitialBins: bins})
+		it, err := NewModelIterator(q, Config{InitialBins: bins})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,11 +298,11 @@ func TestBoundsTightenWithResolution(t *testing.T) {
 }
 
 func TestOccupancyVectorsAreDistributions(t *testing.T) {
-	q, err := NewQueueNormalized(videoSource(t, 1), 0.8, 0.5)
+	q, err := fluidModel(videoSource(t, 1), 0.8, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := NewIterator(q, Config{InitialBins: 100})
+	it, err := NewModelIterator(q, Config{InitialBins: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,11 +340,11 @@ func TestSolveAgreesWithMonteCarlo(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			q, err := NewQueueNormalized(tc.src, tc.util, tc.nbuf)
+			q, err := fluidModel(tc.src, tc.util, tc.nbuf)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Solve(q, Config{RelGap: 0.05})
+			res, err := SolveModelContext(context.Background(), q, Config{RelGap: 0.05})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -329,11 +370,11 @@ func TestSolveZeroLossRegime(t *testing.T) {
 	// Huge buffer, tiny cutoff, low utilization: loss is far below the
 	// floor and must be reported as exactly zero (the paper's convention).
 	src := onOffSource(t, 0.05)
-	q, err := NewQueueNormalized(src, 0.3, 10)
+	q, err := fluidModel(src, 0.3, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Solve(q, Config{})
+	res, err := SolveModelContext(context.Background(), q, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,11 +387,11 @@ func TestSolveLossDecreasesWithBuffer(t *testing.T) {
 	src := videoSource(t, 1)
 	prev := math.Inf(1)
 	for _, nbuf := range []float64{0.05, 0.2, 0.8} {
-		q, err := NewQueueNormalized(src, 0.8, nbuf)
+		q, err := fluidModel(src, 0.8, nbuf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Solve(q, Config{})
+		res, err := SolveModelContext(context.Background(), q, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -365,11 +406,11 @@ func TestSolveLossIncreasesWithUtilization(t *testing.T) {
 	src := videoSource(t, 1)
 	prev := 0.0
 	for _, util := range []float64{0.7, 0.8, 0.9} {
-		q, err := NewQueueNormalized(src, util, 0.05)
+		q, err := fluidModel(src, util, 0.05)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Solve(q, Config{})
+		res, err := SolveModelContext(context.Background(), q, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -387,11 +428,11 @@ func TestSolveLossIncreasesWithCutoff(t *testing.T) {
 	prev := 0.0
 	for _, cutoff := range []float64{0.1, 0.5, 2, 8} {
 		src := onOffSource(t, cutoff)
-		q, err := NewQueueNormalized(src, 0.8, 0.5)
+		q, err := fluidModel(src, 0.8, 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Solve(q, Config{})
+		res, err := SolveModelContext(context.Background(), q, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -413,11 +454,11 @@ func TestResultRelativeGap(t *testing.T) {
 }
 
 func TestRefineProjectsExactly(t *testing.T) {
-	q, err := NewQueueNormalized(onOffSource(t, 1), 0.8, 0.2)
+	q, err := fluidModel(onOffSource(t, 1), 0.8, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := NewIterator(q, Config{InitialBins: 32, MaxBins: 128})
+	it, err := NewModelIterator(q, Config{InitialBins: 32, MaxBins: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,11 +504,11 @@ func TestConfigDefaults(t *testing.T) {
 
 func TestInfiniteCutoffSolves(t *testing.T) {
 	src := onOffSource(t, math.Inf(1))
-	q, err := NewQueueNormalized(src, 0.6, 0.5)
+	q, err := fluidModel(src, 0.6, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Solve(q, Config{})
+	res, err := SolveModelContext(context.Background(), q, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +534,7 @@ func TestSolveModelHyperexponentialAgreesWithMonteCarlo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SolveModel(model, Config{RelGap: 0.05})
+	res, err := SolveModelContext(context.Background(), model, Config{RelGap: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -539,11 +580,11 @@ func TestSolveModelValidation(t *testing.T) {
 }
 
 func TestResultOccupancyQuantile(t *testing.T) {
-	q, err := NewQueueNormalized(onOffSource(t, 1), 0.8, 0.3)
+	q, err := fluidModel(onOffSource(t, 1), 0.8, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Solve(q, Config{})
+	res, err := SolveModelContext(context.Background(), q, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,11 +622,11 @@ func TestResultOccupancyQuantile(t *testing.T) {
 // boundary value; u = 1 is the largest valid probability and u just above
 // 0 is valid too.
 func TestOccupancyQuantileEdges(t *testing.T) {
-	q, err := NewQueueNormalized(onOffSource(t, 1), 0.8, 0.3)
+	q, err := fluidModel(onOffSource(t, 1), 0.8, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Solve(q, Config{})
+	res, err := SolveModelContext(context.Background(), q, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package solver
 
 import (
-	"context"
 	"math"
 
 	"lrd/internal/numerics"
@@ -193,14 +192,4 @@ func (it *Iterator) seedOccupancies(seed *Seed) {
 			}
 		}
 	}
-}
-
-// SolveModelSeeded is SolveModelContext with a cross-cell warm start; see
-// NewModelIteratorSeeded. It follows the same degrade-gracefully contract.
-func SolveModelSeeded(ctx context.Context, m Model, cfg Config, seed *Seed) (Result, error) {
-	it, err := NewModelIteratorSeeded(m, cfg, seed)
-	if err != nil {
-		return Result{}, err
-	}
-	return it.RunContext(ctx)
 }

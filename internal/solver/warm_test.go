@@ -11,6 +11,15 @@ import (
 
 var warmTestCfg = Config{InitialBins: 64, MaxBins: 1024, MaxIterations: 10000}
 
+// solveSeeded runs a warm-started solve to completion.
+func solveSeeded(m Model, cfg Config, seed *Seed) (Result, error) {
+	it, err := NewModelIteratorSeeded(m, cfg, seed)
+	if err != nil {
+		return Result{}, err
+	}
+	return it.RunContext(context.Background())
+}
+
 // TestWarmSeedBracketValid is the core warm-start property: across random
 // sources, a solve seeded from its smaller-buffer neighbor still produces a
 // valid bracket — the warm bracket and the cold bracket for the same cell
@@ -24,11 +33,11 @@ func TestWarmSeedBracketValid(t *testing.T) {
 			continue
 		}
 		tried++
-		small := q.Model()
-		large := q.Model()
+		small := q
+		large := q
 		large.Buffer *= 1.0 + 0.25*float64(seed%4+1) // Δ > 0 in [25%,100%]
 
-		base, err := SolveModel(small, warmTestCfg)
+		base, err := SolveModelContext(context.Background(), small, warmTestCfg)
 		if err != nil {
 			t.Fatalf("seed %d: neighbor solve: %v", seed, err)
 		}
@@ -37,11 +46,11 @@ func TestWarmSeedBracketValid(t *testing.T) {
 			t.Fatalf("seed %d: SeedFromResult returned nil for a solver result", seed)
 		}
 
-		cold, err := SolveModel(large, warmTestCfg)
+		cold, err := SolveModelContext(context.Background(), large, warmTestCfg)
 		if err != nil {
 			t.Fatalf("seed %d: cold solve: %v", seed, err)
 		}
-		warm, err := SolveModelSeeded(context.Background(), large, warmTestCfg, ws)
+		warm, err := solveSeeded(large, warmTestCfg, ws)
 		if err != nil {
 			t.Fatalf("seed %d: warm solve: %v", seed, err)
 		}
@@ -69,12 +78,12 @@ func TestWarmSeedSameBuffer(t *testing.T) {
 	if !ok {
 		t.Fatal("randomModel(7) invalid")
 	}
-	m := q.Model()
-	cold, err := SolveModel(m, warmTestCfg)
+	m := q
+	cold, err := SolveModelContext(context.Background(), m, warmTestCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := SolveModelSeeded(context.Background(), m, warmTestCfg, SeedFromResult(m, cold))
+	warm, err := solveSeeded(m, warmTestCfg, SeedFromResult(m, cold))
 	if err != nil {
 		t.Fatalf("re-seeded solve: %v", err)
 	}
@@ -101,8 +110,8 @@ func TestWarmSeedRejection(t *testing.T) {
 	if !ok {
 		t.Fatal("randomModel(11) invalid")
 	}
-	m := q.Model()
-	base, err := SolveModel(m, warmTestCfg)
+	m := q
+	base, err := SolveModelContext(context.Background(), m, warmTestCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +130,7 @@ func TestWarmSeedRejection(t *testing.T) {
 			return s
 		}},
 	}
-	cold, err := SolveModel(m, warmTestCfg)
+	cold, err := SolveModelContext(context.Background(), m, warmTestCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +139,7 @@ func TestWarmSeedRejection(t *testing.T) {
 		reg := obs.NewRegistry()
 		cfg := warmTestCfg
 		cfg.Recorder = reg
-		got, err := SolveModelSeeded(context.Background(), m, cfg, &s)
+		got, err := solveSeeded(m, cfg, &s)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -149,7 +158,7 @@ func TestWarmSeedRejection(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := warmTestCfg
 	cfg.Recorder = reg
-	got, err := SolveModelSeeded(context.Background(), m, cfg, nil)
+	got, err := solveSeeded(m, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,8 +175,8 @@ func TestSeedFromResultNil(t *testing.T) {
 	if !ok {
 		t.Fatal("randomModel(13) invalid")
 	}
-	m := q.Model()
-	r, err := SolveModel(m, warmTestCfg)
+	m := q
+	r, err := SolveModelContext(context.Background(), m, warmTestCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +204,7 @@ func TestWarmSolveAllDeterministic(t *testing.T) {
 	}
 	var models []Model
 	for _, scale := range []float64{1.5, 0.75, 1.0, 2.0, 1.25} { // unsorted on purpose
-		m := q.Model()
+		m := q
 		m.Buffer *= scale
 		models = append(models, m)
 	}
@@ -229,7 +238,7 @@ func TestWarmChainIterationProfile(t *testing.T) {
 	}
 	var models []Model
 	for i := 0; i < 32; i++ {
-		m := q.Model()
+		m := q
 		m.Buffer *= 1.0 + 0.025*float64(i)
 		models = append(models, m)
 	}

@@ -1,6 +1,7 @@
 package source_test
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -139,7 +140,7 @@ func TestAMSSolverBracket(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := solver.SolveModel(m, solver.Config{})
+		res, err := solver.SolveModelContext(context.Background(), m, solver.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package source_test
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"math/rand"
@@ -114,15 +115,17 @@ func TestParseSpecs(t *testing.T) {
 }
 
 // TestFluidWrapperBitIdentical: solving through the registry's fluid entry
-// must reproduce the direct Queue path bit for bit — the refactor's core
-// compatibility guarantee.
+// must reproduce, bit for bit, the model built by hand from the reference
+// source's marginal and epoch law at c = mean/ρ and B = nbuf·c — the
+// refactor's core compatibility guarantee.
 func TestFluidWrapperBitIdentical(t *testing.T) {
 	ref := testRef(t)
-	q, err := solver.NewQueueNormalized(ref, 0.8, 0.5)
+	c := ref.MeanRate() / 0.8
+	direct, err := solver.NewModel(ref.Marginal, ref.Interarrival, c, 0.5*c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := solver.Solve(q, solver.Config{})
+	want, err := solver.SolveModelContext(context.Background(), direct, solver.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,13 +138,13 @@ func TestFluidWrapperBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := solver.SolveModel(m, solver.Config{})
+	got, err := solver.SolveModelContext(context.Background(), m, solver.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Loss != want.Loss || got.Lower != want.Lower || got.Upper != want.Upper ||
 		got.Bins != want.Bins || got.Iterations != want.Iterations {
-		t.Fatalf("registry fluid solve differs from direct Queue solve:\ngot  %+v\nwant %+v", got, want)
+		t.Fatalf("registry fluid solve differs from hand-built model solve:\ngot  %+v\nwant %+v", got, want)
 	}
 }
 
@@ -166,7 +169,7 @@ func TestCrossModelConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		res, err := solver.SolveModel(m, solver.Config{})
+		res, err := solver.SolveModelContext(context.Background(), m, solver.Config{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

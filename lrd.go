@@ -24,17 +24,19 @@
 //		Theta: 0.016, Alpha: 1.2, Cutoff: 10, // H = 0.9, 10 s cutoff
 //	})
 //	// 80 % utilization, half a second of buffering.
-//	q, err := lrd.NewQueueNormalized(src, 0.8, 0.5)
-//	res, err := lrd.Solve(q, lrd.SolverConfig{})
+//	m, err := lrd.NewModelNormalized(lrd.NewFluidSource(src), 0.8, 0.5)
+//	res, err := lrd.Solve(m, lrd.SolverConfig{})
 //	fmt.Println(res.Loss, res.Lower, res.Upper)
 //
-// Solves are customized with functional options — telemetry, budgets, and
-// the traffic model the queue's reference source is realized as:
+// Every solve takes a Model. Another registered traffic model is realized
+// from the same reference source before the Model is built, and solves are
+// customized with functional options — telemetry and budgets:
 //
-//	res, err := lrd.SolveContext(ctx, q, lrd.SolverConfig{},
-//		lrd.WithRecorder(reg),                         // obs metrics
-//		lrd.WithTimeout(5*time.Second),                // degrade, don't hang
-//		lrd.WithModel(lrd.ModelSpec{Name: "markov"}),  // §IV equivalent model
+//	mk, err := lrd.ModelSpec{Name: "markov"}.Realize(src) // §IV equivalent model
+//	m, err := lrd.NewModelNormalized(mk, 0.8, 0.5)
+//	res, err := lrd.SolveContext(ctx, m, lrd.SolverConfig{},
+//		lrd.WithRecorder(reg),          // obs metrics
+//		lrd.WithTimeout(5*time.Second), // degrade, don't hang
 //	)
 //
 // # Package map
@@ -64,7 +66,6 @@ package lrd
 
 import (
 	"context"
-	"errors"
 	"time"
 
 	"lrd/internal/ams"
@@ -101,9 +102,8 @@ type (
 	Source = fluid.Source
 	// Epoch is one constant-rate segment of a sample path.
 	Epoch = fluid.Epoch
-	// Queue is the finite-buffer fluid queue fed by a Source.
-	Queue = solver.Queue
-	// Model generalizes Queue to any Interarrival law.
+	// Model is the finite-buffer queue the solver takes: a constant-rate
+	// server fed by a renewal-modulated fluid over any Interarrival law.
 	Model = solver.Model
 	// SolverConfig tunes the numerical procedure; the zero value uses the
 	// paper's settings (20 % bound gap, 1e-10 loss floor).
@@ -142,30 +142,25 @@ var (
 	CalibrateTheta = dist.CalibrateTheta
 )
 
-// Source and queue constructors.
+// Source and model constructors.
 var (
 	// NewSource builds a validated Source.
 	NewSource = fluid.New
 	// SourceFromTraceStats fits a Source from (marginal, H, mean epoch,
 	// cutoff) the way the paper fits its traces.
 	SourceFromTraceStats = fluid.FromTraceStats
-	// NewQueue builds a queue in absolute units (service rate, buffer).
-	NewQueue = solver.NewQueue
-	// NewQueueNormalized builds a queue from utilization and a normalized
-	// buffer size in seconds.
-	NewQueueNormalized = solver.NewQueueNormalized
 	// NewModel builds a general model over any Interarrival law.
 	NewModel = solver.NewModel
 	// NewHyperexponential builds a Markovian interarrival mixture.
 	NewHyperexponential = dist.NewHyperexponential
 )
 
-// Solving. The four entry points take the numerical configuration plus a
-// variadic list of Options; a call without options is byte-for-byte the
-// historical API, so existing callers compile and behave unchanged.
+// Solving. Solve and SolveContext take a Model, the numerical
+// configuration, and a variadic list of Options; NewIterator steps the same
+// Model by hand.
 var (
-	// NewIterator exposes the bound iteration step by step.
-	NewIterator = solver.NewIterator
+	// NewIterator exposes the bound iteration over a Model step by step.
+	NewIterator = solver.NewModelIterator
 	// ErrNumeric is the sentinel matched (via errors.Is) by every numeric
 	// watchdog violation the solver detects.
 	ErrNumeric = solver.ErrNumeric
@@ -176,38 +171,23 @@ var (
 )
 
 // Option customizes a solve beyond its positional SolverConfig: telemetry
-// sinks, wall-clock budgets, and the traffic model the queue's reference
-// source is realized as. Options are applied in order, so a later option
-// overrides an earlier one touching the same setting.
-type Option func(*solveSettings)
-
-type solveSettings struct {
-	cfg      SolverConfig
-	model    ModelSpec
-	hasModel bool
-}
-
-func (s *solveSettings) apply(opts []Option) {
-	for _, opt := range opts {
-		if opt != nil {
-			opt(s)
-		}
-	}
-}
+// sinks and wall-clock budgets. Options are applied in order, so a later
+// option overrides an earlier one touching the same setting.
+type Option func(*SolverConfig)
 
 // WithRecorder streams solver telemetry (step counts and timings, bound
 // gap, per-solve outcomes; see MetricsRegistry) to rec. Results are
 // bit-identical with or without a recorder; WithRecorder(nil) keeps the
 // instrumented paths allocation-free.
 func WithRecorder(rec Recorder) Option {
-	return func(s *solveSettings) { s.cfg.Recorder = rec }
+	return func(c *SolverConfig) { c.Recorder = rec }
 }
 
 // WithTrace streams one TracePoint per solver iteration (plus a final
 // point) to fn. By Proposition II.1 the lower bounds in the stream are
 // non-decreasing and the upper bounds non-increasing within each solve.
 func WithTrace(fn func(TracePoint)) Option {
-	return func(s *solveSettings) { s.cfg.Trace = fn }
+	return func(c *SolverConfig) { c.Trace = fn }
 }
 
 // WithTimeout imposes a per-solve wall-clock budget (SolverConfig
@@ -215,64 +195,30 @@ func WithTrace(fn func(TracePoint)) Option {
 // best-so-far bracketed Result is returned with Result.Degraded set, never
 // an error — the bounds are valid at every iteration.
 func WithTimeout(d time.Duration) Option {
-	return func(s *solveSettings) { s.cfg.MaxDuration = d }
-}
-
-// WithModel realizes the queue's reference fluid source as the named
-// registered traffic model (see RegisterModel; "fluid", "onoff", "markov",
-// "mmfq" are built in) before solving — the zero spec is the fluid
-// identity. It applies to Solve and SolveContext, whose Queue carries the
-// reference source; SolveModel and SolveModelContext reject it, since a
-// general Model retains no reference to refit.
-func WithModel(spec ModelSpec) Option {
-	return func(s *solveSettings) { s.model, s.hasModel = spec, true }
+	return func(c *SolverConfig) { c.MaxDuration = d }
 }
 
 // WithConfig replaces the solve's entire SolverConfig, for call sites that
 // assemble the configuration separately from the options that refine it.
 func WithConfig(cfg SolverConfig) Option {
-	return func(s *solveSettings) { s.cfg = cfg }
+	return func(c *SolverConfig) { *c = cfg }
 }
 
-// Solve computes the stationary loss rate of a Queue.
-func Solve(q Queue, cfg SolverConfig, opts ...Option) (Result, error) {
-	return SolveContext(context.Background(), q, cfg, opts...)
+// Solve computes the stationary loss rate of a Model.
+func Solve(m Model, cfg SolverConfig, opts ...Option) (Result, error) {
+	return SolveContext(context.Background(), m, cfg, opts...)
 }
 
 // SolveContext is Solve with cancellation, deadline, and budget support:
 // on interruption it returns the best-so-far bracketed Result with
 // Result.Degraded set rather than an error.
-func SolveContext(ctx context.Context, q Queue, cfg SolverConfig, opts ...Option) (Result, error) {
-	s := solveSettings{cfg: cfg}
-	s.apply(opts)
-	if !s.hasModel {
-		return solver.SolveContext(ctx, q, s.cfg)
+func SolveContext(ctx context.Context, m Model, cfg SolverConfig, opts ...Option) (Result, error) {
+	for _, opt := range opts {
+		if opt != nil {
+			opt(&cfg)
+		}
 	}
-	src, err := s.model.Realize(q.Source)
-	if err != nil {
-		return Result{}, err
-	}
-	m, err := solver.NewModelFromSource(src, q.ServiceRate, q.Buffer)
-	if err != nil {
-		return Result{}, err
-	}
-	return solver.SolveModelContext(ctx, m, s.cfg)
-}
-
-// SolveModel computes the stationary loss rate of a general Model.
-func SolveModel(m Model, cfg SolverConfig, opts ...Option) (Result, error) {
-	return SolveModelContext(context.Background(), m, cfg, opts...)
-}
-
-// SolveModelContext is SolveModel with the same degrade-gracefully
-// contract as SolveContext.
-func SolveModelContext(ctx context.Context, m Model, cfg SolverConfig, opts ...Option) (Result, error) {
-	s := solveSettings{cfg: cfg}
-	s.apply(opts)
-	if s.hasModel {
-		return Result{}, errors.New("lrd: WithModel applies to Solve/SolveContext (a Queue carries the reference source to realize); build the Model from the realized source instead")
-	}
-	return solver.SolveModelContext(ctx, m, s.cfg)
+	return solver.SolveModelContext(ctx, m, cfg)
 }
 
 // Robustness vocabulary: why a Result came back degraded, and the typed

@@ -23,7 +23,6 @@ func TestExportSurfaceCompiles(t *testing.T) {
 		_ lrd.Interarrival
 		_ lrd.Source
 		_ lrd.Epoch
-		_ lrd.Queue
 		_ lrd.Model
 		_ lrd.SolverConfig
 		_ lrd.Result
@@ -67,8 +66,6 @@ func TestExportSurfaceCompiles(t *testing.T) {
 	_ = lrd.CalibrateTheta
 	_ = lrd.NewSource
 	_ = lrd.SourceFromTraceStats
-	_ = lrd.NewQueue
-	_ = lrd.NewQueueNormalized
 	_ = lrd.NewModel
 	_ = lrd.NewHyperexponential
 	_ = lrd.NewIterator
@@ -161,15 +158,16 @@ func TestExportSurfaceCompiles(t *testing.T) {
 }
 
 // TestSolveOptions exercises the functional-options surface: options
-// thread through to the solver, WithModel realizes a registered model, and
-// an option-free call matches the historical behavior bit for bit.
+// thread through to the solver without changing a result bit, and a
+// registered model realized from the reference source solves through the
+// same entry point.
 func TestSolveOptions(t *testing.T) {
 	m := lrd.MustMarginal([]float64{0, 2}, []float64{0.5, 0.5})
 	src, err := lrd.NewSource(m, lrd.TruncatedPareto{Theta: 0.02, Alpha: 1.2, Cutoff: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := lrd.NewQueueNormalized(src, 0.8, 0.3)
+	q, err := lrd.NewModelNormalized(lrd.NewFluidSource(src), 0.8, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,34 +207,35 @@ func TestSolveOptions(t *testing.T) {
 		t.Fatalf("WithConfig(RelGap 0.5) took %d iterations, more than the default's %d", loose.Iterations, plain.Iterations)
 	}
 
-	// WithModel: the fluid identity must be bit-identical to the direct
+	// Realized models: the fluid spec must be bit-identical to the direct
 	// path; a non-fluid model must solve and stay a plausible bracket.
-	viaFluid, err := lrd.Solve(q, lrd.SolverConfig{}, lrd.WithModel(lrd.ModelSpec{Name: "fluid"}))
+	realize := func(spec lrd.ModelSpec) (lrd.Result, error) {
+		ts, err := spec.Realize(src)
+		if err != nil {
+			return lrd.Result{}, err
+		}
+		model, err := lrd.NewModelNormalized(ts, 0.8, 0.3)
+		if err != nil {
+			return lrd.Result{}, err
+		}
+		return lrd.Solve(model, lrd.SolverConfig{})
+	}
+	viaFluid, err := realize(lrd.ModelSpec{Name: "fluid"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if viaFluid.Loss != plain.Loss || viaFluid.Lower != plain.Lower || viaFluid.Upper != plain.Upper {
-		t.Fatalf("WithModel(fluid) is not the identity: %+v vs %+v", viaFluid, plain)
+		t.Fatalf("realized fluid is not the identity: %+v vs %+v", viaFluid, plain)
 	}
-	viaMMFQ, err := lrd.Solve(q, lrd.SolverConfig{}, lrd.WithModel(lrd.ModelSpec{Name: "mmfq"}))
+	viaMMFQ, err := realize(lrd.ModelSpec{Name: "mmfq"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !(viaMMFQ.Lower <= viaMMFQ.Loss && viaMMFQ.Loss <= viaMMFQ.Upper) {
 		t.Fatalf("mmfq result %v outside its own bounds [%v, %v]", viaMMFQ.Loss, viaMMFQ.Lower, viaMMFQ.Upper)
 	}
-	if _, err := lrd.Solve(q, lrd.SolverConfig{}, lrd.WithModel(lrd.ModelSpec{Name: "nosuch"})); err == nil {
-		t.Fatal("WithModel(nosuch) must surface the registry error")
-	}
-
-	// WithModel is rejected on the Model entry points, which carry no
-	// reference source to realize.
-	model, err := lrd.NewModel(m, lrd.TruncatedPareto{Theta: 0.02, Alpha: 1.2, Cutoff: 10}, 1.25, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := lrd.SolveModel(model, lrd.SolverConfig{}, lrd.WithModel(lrd.ModelSpec{})); err == nil {
-		t.Fatal("SolveModel must reject WithModel")
+	if _, err := realize(lrd.ModelSpec{Name: "nosuch"}); err == nil {
+		t.Fatal("realizing an unregistered model must surface the registry error")
 	}
 
 	// A canceled context degrades gracefully through the options path too.

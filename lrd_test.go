@@ -25,7 +25,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if got := src.Hurst(); math.Abs(got-0.9) > 1e-12 {
 		t.Fatalf("Hurst = %v, want 0.9", got)
 	}
-	q, err := lrd.NewQueueNormalized(src, 0.8, 0.5)
+	q, err := lrd.NewModelNormalized(lrd.NewFluidSource(src), 0.8, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestPublicAPIModelPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := lrd.SolveModel(model, lrd.SolverConfig{})
+	res, err := lrd.Solve(model, lrd.SolverConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestPublicAPITracePipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := lrd.NewQueueNormalized(src, 0.85, 0.1)
+	q, err := lrd.NewModelNormalized(lrd.NewFluidSource(src), 0.85, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
